@@ -8,6 +8,7 @@ failure (non-convergence and friends), 2 usage or schema errors.
 """
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import asdict
@@ -37,31 +38,60 @@ def _pipeline(name):
     return register
 
 
-def _cfg(config, key, default=KeyError):
-    if key in config:
-        return config[key]
-    if default is KeyError:
-        raise SchemaError(f"config missing required key {key!r}")
-    return default
+def _cfg(config, key, default=KeyError, kind=None):
+    """config[key] passed through kind; a missing or null key gives default.
+
+    Config sections and values come straight from the user's JSON, so a
+    section that is not an object, or a value that kind rejects, is a
+    schema error rather than a traceback.
+    """
+    if not isinstance(config, dict):
+        raise SchemaError(f"config section holding {key!r} must be a JSON object")
+    value = config.get(key)
+    if value is None:
+        if default is KeyError:
+            raise SchemaError(f"config missing required key {key!r}")
+        return default
+    if kind is None:
+        return value
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise SchemaError(f"config key {key!r}: invalid value {value!r}") from None
+
+
+def _finite_number(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text} in config")
+    return value
+
+
+def _floats(value):
+    return np.asarray(value, dtype=float)
+
+
+def _float_pair(value):
+    lo, hi = map(float, value)
+    return lo, hi
 
 
 def _zfs_from_config(config, key="init"):
     spec = _cfg(config, key, {}) if key else config
-    axes = spec.get("axes")
     return spin_hamiltonian.ZfsParams(
-        D=float(_cfg(spec, "D")),
-        E=float(_cfg(spec, "E")),
-        g=float(spec.get("g", 2.0)),
-        axes=np.asarray(axes, dtype=float) if axes is not None else np.eye(3),
+        D=_cfg(spec, "D", kind=float),
+        E=_cfg(spec, "E", kind=float),
+        g=_cfg(spec, "g", 2.0, float),
+        axes=_cfg(spec, "axes", np.eye(3), _floats),
     )
 
 
-def _angle_grid(spec):
+def _angle_grid(sweep_cfg):
+    spec = _cfg(sweep_cfg, "angles_deg")
     if isinstance(spec, list):
-        return np.asarray(spec, dtype=float)
-    return np.linspace(
-        float(_cfg(spec, "start")), float(_cfg(spec, "stop")), int(_cfg(spec, "num"))
-    )
+        return _cfg(sweep_cfg, "angles_deg", kind=_floats)
+    return np.linspace(_cfg(spec, "start", kind=float),
+                       _cfg(spec, "stop", kind=float), _cfg(spec, "num", kind=int))
 
 
 @_pipeline("odmr-sim")
@@ -77,18 +107,18 @@ def run_odmr_sim(config, outdir, seed, inputs):
     outputs.append("zero_field_lines.txt")
     sweep_cfg = config.get("sweep")
     if sweep_cfg:
-        angles = _angle_grid(_cfg(sweep_cfg, "angles_deg"))
-        orientations = sweep_cfg.get("orientations", "single")
+        angles = _angle_grid(sweep_cfg)
+        orientations = _cfg(sweep_cfg, "orientations", "single")
         if orientations == "110-family":
             triads = spin_hamiltonian.orientation_family()
         elif orientations == "single":
             triads = [p.axes]
         else:
-            triads = [np.asarray(t, dtype=float) for t in orientations]
+            triads = list(_cfg(sweep_cfg, "orientations", kind=_floats))
         table = spin_hamiltonian.angular_sweep(
             p,
-            magnitude=float(_cfg(sweep_cfg, "magnitude_G")),
-            plane_normal=np.asarray(sweep_cfg.get("plane_normal", [0, 0, 1]), float),
+            magnitude=_cfg(sweep_cfg, "magnitude_G", kind=float),
+            plane_normal=_cfg(sweep_cfg, "plane_normal", [0, 0, 1], _floats),
             angles_deg=angles,
             orientations=triads,
         )
@@ -110,8 +140,8 @@ def run_odmr_fit(config, outdir, seed, inputs):
     result = spin_hamiltonian.fit_odmr(
         observed,
         init=_zfs_from_config(config, key="init"),
-        magnitude=float(_cfg(config, "magnitude_G")),
-        plane_normal=np.asarray(config.get("plane_normal", [0, 0, 1]), float),
+        magnitude=_cfg(config, "magnitude_G", kind=float),
+        plane_normal=_cfg(config, "plane_normal", [0, 0, 1], _floats),
         fit_orientation=bool(config.get("fit_orientation", False)),
         fit_tilt=bool(config.get("fit_tilt", False)),
     )
@@ -139,16 +169,16 @@ def run_g2_fit(config, outdir, seed, inputs):
     data_path = _cfg(config, "data")
     inputs.append(data_path)
     desc = DatasetDescriptor(path=data_path, kind="g2_histogram",
-                             units=config.get("units"))
+                             units=_cfg(config, "units", None, dict))
     if desc.sidecar_path().exists():
         inputs.append(str(desc.sidecar_path()))
     hist, rho = ingest(desc)
-    rho = float(config.get("rho", rho))
+    rho = _cfg(config, "rho", rho, float)
     curve = g2_processing.background_correct(g2_processing.normalize(hist), rho)
     result = g2_processing.fit_g2(
         hist.bin_centers,
         curve,
-        n_exp=int(config.get("n_exp", 4)),
+        n_exp=_cfg(config, "n_exp", 4, int),
         counts=hist.counts,
         rho=rho,
     )
@@ -172,14 +202,14 @@ def run_rates_extract(config, outdir, seed, inputs):
     else:
         payload = _cfg(config, "fit")
     fit = g2_processing.G2Fit(
-        alphas=np.asarray(_cfg(payload, "alphas"), float),
-        taus=np.asarray(_cfg(payload, "taus_ns"), float),
-        rho=float(payload.get("rho", 1.0)),
+        alphas=_cfg(payload, "alphas", kind=_floats),
+        taus=_cfg(payload, "taus_ns", kind=_floats),
+        rho=_cfg(payload, "rho", 1.0, float),
     )
     rates = photodynamics.extract_rates(
         fit,
-        detected=float(_cfg(config, "detected_rate")),
-        eta=float(_cfg(config, "eta")),
+        detected=_cfg(config, "detected_rate", kind=float),
+        eta=_cfg(config, "eta", kind=float),
     )
     write_json(outdir / "rates.json", asdict(rates))
     return ["rates.json"]
@@ -187,19 +217,20 @@ def run_rates_extract(config, outdir, seed, inputs):
 
 @_pipeline("power-sweep")
 def run_power_sweep(config, outdir, seed, inputs):
-    base = photodynamics.RateParams(**_cfg(config, "rates"))
-    powers = config.get("powers_w")
+    base = _cfg(config, "rates", kind=lambda spec: photodynamics.RateParams(**spec))
+    powers = _cfg(config, "powers_w", None, _floats)
     if powers is None:
         spec = _cfg(config, "powers")
-        powers = np.geomspace(float(_cfg(spec, "start")), float(_cfg(spec, "stop")),
-                              int(_cfg(spec, "num")))
+        powers = np.geomspace(_cfg(spec, "start", kind=float),
+                              _cfg(spec, "stop", kind=float),
+                              _cfg(spec, "num", kind=int))
     points = photodynamics.power_sweep_model(
         base,
-        sigma_cm2=float(_cfg(config, "sigma_cm2")),
-        beta=float(config.get("beta", 0.0)),
-        powers_w=np.asarray(powers, float),
-        wavelength_nm=float(_cfg(config, "wavelength_nm")),
-        focal_area_cm2=float(_cfg(config, "focal_area_cm2")),
+        sigma_cm2=_cfg(config, "sigma_cm2", kind=float),
+        beta=_cfg(config, "beta", 0.0, float),
+        powers_w=powers,
+        wavelength_nm=_cfg(config, "wavelength_nm", kind=float),
+        focal_area_cm2=_cfg(config, "focal_area_cm2", kind=float),
         driven=config.get("driven", "plus"),
     )
     write_table(
@@ -213,17 +244,18 @@ def run_power_sweep(config, outdir, seed, inputs):
 
 
 def _zpl_from_config(config, spacing):
-    spec = config.get("zpl", {"kind": "delta"})
-    if spec.get("kind", "delta") == "delta":
+    spec = _cfg(config, "zpl", {})
+    kind = _cfg(spec, "kind", "delta")
+    if kind == "delta":
         return psb.ZplShape.delta(spacing)
-    if spec["kind"] == "gaussian":
-        return psb.ZplShape.gaussian(spacing, float(_cfg(spec, "sigma_mev")))
+    if kind == "gaussian":
+        return psb.ZplShape.gaussian(spacing, _cfg(spec, "sigma_mev", kind=float))
     raise SchemaError("zpl kind must be delta or gaussian")
 
 
 def _i1_from_config(config, inputs):
-    spacing = float(config.get("spacing_mev", 0.25))
-    cutoff = float(config.get("cutoff_mev", psb.DIAMOND_PHONON_CUTOFF_MEV))
+    spacing = _cfg(config, "spacing_mev", 0.25, float)
+    cutoff = _cfg(config, "cutoff_mev", psb.DIAMOND_PHONON_CUTOFF_MEV, float)
     if "i1_file" in config:
         inputs.append(config["i1_file"])
         band = ingest(DatasetDescriptor(path=config["i1_file"], kind="dos_table",
@@ -232,10 +264,9 @@ def _i1_from_config(config, inputs):
     spec = _cfg(config, "i1")
     grid = psb.make_grid(0.0, cutoff, spacing)
     vals = np.zeros_like(grid)
-    for g in _cfg(spec, "gaussians"):
-        vals += float(g.get("weight", 1.0)) * np.exp(
-            -0.5 * ((grid - float(_cfg(g, "center_mev"))) / float(_cfg(g, "sigma_mev"))) ** 2
-        )
+    for g in _cfg(spec, "gaussians", kind=list):
+        x = (grid - _cfg(g, "center_mev", kind=float)) / _cfg(g, "sigma_mev", kind=float)
+        vals += _cfg(g, "weight", 1.0, float) * np.exp(-0.5 * x**2)
     ramp = np.clip(grid / (4 * spacing), 0, 1) * np.clip((cutoff - grid) / (4 * spacing), 0, 1)
     band = psb.SpectralBand(grid, vals * ramp).normalized()
     return psb.OnePhononBand(band, cutoff_mev=cutoff), spacing, cutoff
@@ -244,9 +275,9 @@ def _i1_from_config(config, inputs):
 @_pipeline("psb-synth")
 def run_psb_synth(config, outdir, seed, inputs):
     i1, spacing, cutoff = _i1_from_config(config, inputs)
-    s = float(_cfg(config, "S"))
+    s = _cfg(config, "S", kind=float)
     zpl = _zpl_from_config(config, spacing)
-    n_max = config.get("n_max") or psb.poisson_n_max(s)
+    n_max = _cfg(config, "n_max", None, int) or psb.poisson_n_max(s)
     band = psb.synthesize_band(i1, s, zpl, n_max=n_max)
     write_table(outdir / "band.txt", [band.grid, band.values],
                 ["energy_meV", "intensity"])
@@ -262,12 +293,12 @@ def run_psb_synth(config, outdir, seed, inputs):
 
 @_pipeline("psb-deconvolve")
 def run_psb_deconvolve(config, outdir, seed, inputs):
-    spacing = float(config.get("spacing_mev", 0.25))
-    cutoff = float(config.get("cutoff_mev", psb.DIAMOND_PHONON_CUTOFF_MEV))
+    spacing = _cfg(config, "spacing_mev", 0.25, float)
+    cutoff = _cfg(config, "cutoff_mev", psb.DIAMOND_PHONON_CUTOFF_MEV, float)
     if "spectrum" in config:
         inputs.append(config["spectrum"])
         desc = DatasetDescriptor(path=config["spectrum"], kind="emission_spectrum",
-                                 units=dict(config.get("units") or {},
+                                 units=dict(_cfg(config, "units", {}, dict),
                                             spacing_mev=spacing))
         if desc.sidecar_path().exists():
             inputs.append(str(desc.sidecar_path()))
@@ -278,22 +309,21 @@ def run_psb_deconvolve(config, outdir, seed, inputs):
         inputs.append(band_path)
         band = ingest(DatasetDescriptor(path=band_path, kind="dos_table",
                                         units={"spacing_mev": spacing})).normalized()
-    if "S" in config:
-        s = float(config["S"])
-    else:
-        window = _cfg(config, "zpl_window_mev")
-        s = psb.estimate_huang_rhys(band, (float(window[0]), float(window[1])))
+    s = _cfg(config, "S", None, float)
+    if s is None:
+        window = _cfg(config, "zpl_window_mev", kind=_float_pair)
+        s = psb.estimate_huang_rhys(band, window)
     zpl = _zpl_from_config(config, band.spacing)
     init = psb.direct_fourier_deconvolve(band, s, zpl, cutoff_mev=cutoff)
     smoothed = psb.smooth_and_taper(
         init.band, cutoff,
-        smooth_bins=int(config.get("smooth_bins", 5)),
-        taper_fraction=float(config.get("taper_fraction", 0.1)),
+        smooth_bins=_cfg(config, "smooth_bins", 5, int),
+        taper_fraction=_cfg(config, "taper_fraction", 0.1, float),
     )
     i1, trace = psb.iterative_deconvolve(
         band, s, zpl, smoothed,
-        max_iter=int(config.get("max_iter", 50)),
-        tol=float(config.get("tol", 1e-6)),
+        max_iter=_cfg(config, "max_iter", 50, int),
+        tol=_cfg(config, "tol", 1e-6, float),
     )
     write_table(outdir / "one_phonon_band.txt", [i1.grid, i1.values],
                 ["energy_meV", "density"])
@@ -324,28 +354,27 @@ def run_psb_deconvolve(config, outdir, seed, inputs):
 @_pipeline("defect-classify")
 def run_defect_classify(config, outdir, seed, inputs):
     group = defect_model.point_group(config.get("group", "C2v"))
-    geo_cfg = config.get("geometry") or {}
-    if "theta_deg" in geo_cfg:
-        geom = defect_model.VacancyGeometry.with_polar_angle(
-            float(geo_cfg["theta_deg"]), delta=float(geo_cfg.get("delta", 0.0))
-        )
+    geo_cfg = _cfg(config, "geometry", {})
+    delta = _cfg(geo_cfg, "delta", 0.0, float)
+    theta = _cfg(geo_cfg, "theta_deg", None, float)
+    if theta is not None:
+        geom = defect_model.VacancyGeometry.with_polar_angle(theta, delta=delta)
     else:
-        geom = defect_model.VacancyGeometry.tetrahedral(
-            delta=float(geo_cfg.get("delta", 0.0))
-        )
+        geom = defect_model.VacancyGeometry.tetrahedral(delta=delta)
     records = defect_model.classify_pairs(group, geom)
     constraints = config.get("constraints")
     selected = records
     if constraints is not None:
         selected = defect_model.candidate_filter(
             records,
-            dipole_axes=constraints.get("dipole_axes"),
-            spin_axes=constraints.get("spin_axes"),
-            require_coalignment=bool(constraints.get("require_coalignment", False)),
+            dipole_axes=_cfg(constraints, "dipole_axes", None),
+            spin_axes=_cfg(constraints, "spin_axes", None),
+            require_coalignment=bool(_cfg(constraints, "require_coalignment", False)),
         )
+    counts = _cfg(config, "electron_counts", [4, 6], lambda ns: [int(n) for n in ns])
     structures = {
         str(n): [asdict(s) for s in defect_model.structure_shortlist(n)]
-        for n in config.get("electron_counts", [4, 6])
+        for n in counts
     }
 
     def rec_payload(rec):
@@ -414,9 +443,13 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = json.loads(Path(args.config).read_text())
-    except (OSError, json.JSONDecodeError) as err:
+        config = json.loads(Path(args.config).read_text(),
+                            parse_float=_finite_number, parse_constant=_finite_number)
+    except (OSError, ValueError) as err:
         print(f"defectkit: cannot read config: {err}", file=sys.stderr)
+        return 2
+    if not isinstance(config, dict):
+        print("defectkit: config must be a JSON object", file=sys.stderr)
         return 2
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -45,8 +45,3 @@ SPIN1_ID = np.eye(3, dtype=complex)
 def photon_energy_J(wavelength_nm):
     """Photon energy in joules at the given vacuum wavelength."""
     return HC_J_NM / wavelength_nm
-
-
-def wavelength_nm_to_meV(wavelength_nm):
-    """Convert a vacuum wavelength to photon energy in meV."""
-    return 1e3 * HC_EV_NM / np.asarray(wavelength_nm, dtype=float)

@@ -7,6 +7,7 @@ toolkit's canonical units at this boundary: MHz, Gauss, ns, meV, cm^2.
 import hashlib
 import json
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -68,6 +69,8 @@ def read_table(path, min_cols, max_cols=None):
             row = [float(p) for p in parts]
         except ValueError:
             raise SchemaError(f"{path}:{lineno}: non-numeric value in {raw!r}")
+        if not all(map(math.isfinite, row)):
+            raise SchemaError(f"{path}:{lineno}: non-finite value in {raw!r}")
         if not min_cols <= len(row) <= max_cols:
             raise SchemaError(
                 f"{path}:{lineno}: expected {min_cols}"

@@ -89,10 +89,6 @@ class CharPoly:
     d: float
     e: float
 
-    @property
-    def a(self):
-        return 1.0
-
     def as_array(self):
         return np.array([1.0, self.b, self.c, self.d, self.e])
 

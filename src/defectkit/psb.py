@@ -22,7 +22,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import fftconvolve, find_peaks
 
 from .constants import DIAMOND_PHONON_CUTOFF_MEV
 from .errors import DivergenceError, InvalidParameterError
@@ -155,21 +154,27 @@ def _as_band(obj):
     return obj.band if isinstance(obj, (OnePhononBand, ZplShape)) else obj
 
 
+def _check_spacing(band, d):
+    if abs(band.spacing - d) > 1e-9 * d:
+        raise InvalidParameterError("bands must share one grid spacing")
+
+
 def convolve_bands(f, g, method="fft") -> SpectralBand:
     """Linear convolution of two bands, (f (x) g)(w) = int f(w-x) g(x) dx.
 
-    method "fft" zero-pads internally (scipy.signal.fftconvolve) so the
+    method "fft" zero-pads to a power-of-two length (numpy.fft) so the
     result is the linear, not circular, convolution; "direct" is the O(N^2)
     sliding sum kept as an independent cross-check.
     """
     f, g = _as_band(f), _as_band(g)
     d = f.spacing
-    if abs(g.spacing - d) > 1e-9 * d:
-        raise InvalidParameterError("bands must share one grid spacing")
+    _check_spacing(g, d)
+    n = f.values.size + g.values.size - 1
     if method == "fft":
-        vals = fftconvolve(f.values, g.values) * d
+        n_fft = 1 << (n - 1).bit_length()
+        vals = np.fft.irfft(np.fft.rfft(f.values, n_fft)
+                            * np.fft.rfft(g.values, n_fft), n_fft)[:n] * d
     elif method == "direct":
-        n = f.values.size + g.values.size - 1
         vals = np.zeros(n)
         for j, gj in enumerate(g.values):
             if gj != 0.0:
@@ -221,12 +226,35 @@ def poisson_truncation_bound(s, n_max):
     return max(1.0 - acc, 0.0)
 
 
+def _poisson_series(i1_values, s, n_max, i0, d, multiphonon=False):
+    """Poisson series sum_{n<=n_max} S^n/n! I0 (x) In, from I0's origin.
+
+    Horner's rule in x = S F[I1] (F[In] = F[I1]^n) on a power-of-two grid
+    past the linear support n_max*(len(I1) - 1) + len(I0). multiphonon
+    subtracts the n=0 and n=1 terms 1 + x, leaving the n>=2 remainder.
+    """
+    if n_max < 1:
+        raise InvalidParameterError("n_max must be >= 1")
+    i0 = _as_band(i0)
+    _check_spacing(i0, d)
+    size = n_max * (i1_values.size - 1) + i0.values.size
+    n_fft = 1 << (size - 1).bit_length()
+    x = s * d * np.fft.rfft(i1_values, n_fft)
+    series = 1.0
+    for n in range(n_max, 0, -1):
+        series = 1.0 + x / n * series
+    if multiphonon:
+        series = series - 1.0 - x
+    return np.fft.irfft(np.fft.rfft(i0.values, n_fft) * series, n_fft)[:size]
+
+
 def synthesize_band(i1: OnePhononBand, s, i0: ZplShape, n_max=None) -> SpectralBand:
     """Build the full optical band from the one-phonon density.
 
     Truncates the Poisson series at n_max (default: tail weight < 1e-8); the
     output norm equals 1 minus the truncation bound and the ZPL carries the
-    Debye-Waller weight exp(-S).
+    Debye-Waller weight exp(-S). The series is summed in the Fourier domain,
+    F[I] = exp(-S) F[I0] sum_{n<=n_max} (S F[I1])^n/n!.
     """
     if n_max is None:
         n_max = poisson_n_max(s)
@@ -234,18 +262,9 @@ def synthesize_band(i1: OnePhononBand, s, i0: ZplShape, n_max=None) -> SpectralB
     if i1_band.start_index != 0:
         raise InvalidParameterError("one-phonon band grid must start at zero")
     d = i1_band.spacing
-    bands = n_phonon_bands(i1, n_max)
-    # Poisson-weighted comb of n-phonon bands plus the discrete ZPL delta
-    n_comb = bands[-1].values.size
-    comb = np.zeros(n_comb)
-    comb[0] += 1.0 / d  # delta(w)
-    weight = 1.0
-    for n, band_n in enumerate(bands, start=1):
-        weight *= s / n
-        comb[: band_n.values.size] += weight * band_n.values
-    comb_band = SpectralBand(d * np.arange(n_comb), comb)
-    out = convolve_bands(i0, comb_band)
-    return SpectralBand(out.grid, np.exp(-s) * out.values)
+    vals = np.exp(-s) * _poisson_series(i1_band.values, s, n_max, i0, d)
+    start = _as_band(i0).start_index
+    return SpectralBand(d * np.arange(start, start + vals.size), vals)
 
 
 def estimate_huang_rhys(band: SpectralBand, zpl_window):
@@ -269,18 +288,13 @@ def estimate_huang_rhys(band: SpectralBand, zpl_window):
 def _circular_buffers(band: SpectralBand, i0: ZplShape):
     """Embed band and ZPL on a power-of-two circular grid with w=0 at 0."""
     i0_band = _as_band(i0)
-    d = band.spacing
-    if abs(i0_band.spacing - d) > 1e-9 * d:
-        raise InvalidParameterError("band and ZPL must share one grid spacing")
+    _check_spacing(i0_band, band.spacing)
     span = band.values.size + i0_band.values.size
-    n = int(2 ** np.ceil(np.log2(2 * span)))
-    buf_band = np.zeros(n)
-    buf_zpl = np.zeros(n)
-    idx = (band.start_index + np.arange(band.values.size)) % n
-    buf_band[idx] = band.values
-    idx0 = (i0_band.start_index + np.arange(i0_band.values.size)) % n
-    buf_zpl[idx0] = i0_band.values
-    return buf_band, buf_zpl, n
+    n = 1 << (2 * span - 1).bit_length()
+
+    def wrap(b):
+        return np.roll(np.pad(b.values, (0, n - b.values.size)), b.start_index)
+    return wrap(band), wrap(i0_band), n
 
 
 def direct_fourier_deconvolve(band: SpectralBand, s, i0: ZplShape,
@@ -316,6 +330,15 @@ def direct_fourier_deconvolve(band: SpectralBand, s, i0: ZplShape,
                          cutoff_mev=cutoff_mev, huang_rhys=s)
 
 
+def _window(values, start_index, n):
+    """Values whose first point sits at start_index, on the index window [0, n)."""
+    out = np.zeros(n)
+    src = start_index + np.arange(values.size)
+    inside = (src >= 0) & (src < n)
+    out[src[inside]] = values[inside]
+    return out
+
+
 def smooth_and_taper(raw: SpectralBand, cutoff_mev=DIAMOND_PHONON_CUTOFF_MEV,
                      smooth_bins=5, taper_fraction=0.1) -> OnePhononBand:
     """Condition a raw one-phonon estimate for the iterative scheme.
@@ -327,10 +350,7 @@ def smooth_and_taper(raw: SpectralBand, cutoff_mev=DIAMOND_PHONON_CUTOFF_MEV,
     d = raw.spacing
     n_keep = int(round(cutoff_mev / d)) + 1
     grid = d * np.arange(n_keep)
-    vals = np.zeros(n_keep)
-    src = (raw.start_index + np.arange(raw.values.size))
-    inside = (src >= 0) & (src < n_keep)
-    vals[src[inside]] = raw.values[inside]
+    vals = _window(raw.values, raw.start_index, n_keep)
     if smooth_bins > 1:
         kernel = np.ones(smooth_bins) / smooth_bins
         vals = np.convolve(vals, kernel, mode="same")
@@ -363,8 +383,9 @@ def iterative_deconvolve(band: SpectralBand, s, i0: ZplShape,
                          cutoff_mev=None, n_max=None):
     """Refine a one-phonon estimate by iterative series subtraction.
 
-    Each pass rebuilds the n-phonon bands from the current iterate and
-    subtracts everything but the single-phonon term from the measured band:
+    Each pass sums the multi-phonon remainder of the current iterate as one
+    Fourier-domain Poisson series (see synthesize_band) and subtracts it,
+    with the zero-phonon term, from the measured band:
 
         I1_new = exp(S) I - I0 - sum_{n>=2} S^n/n! I0 (x) In,
 
@@ -382,20 +403,14 @@ def iterative_deconvolve(band: SpectralBand, s, i0: ZplShape,
         raise InvalidParameterError("tol must be positive")
     d = band.spacing
     i0_band = _as_band(i0)
+    i0_start = i0_band.start_index
     n_keep = int(round(cutoff_mev / d)) + 1
 
-    def restrict(values_full, start_index):
-        out = np.zeros(n_keep)
-        src = start_index + np.arange(values_full.size)
-        inside = (src >= 0) & (src < n_keep)
-        out[src[inside]] = values_full[inside]
-        return out
-
     # measured-band terms of the update, embedded on the [0, cutoff] window
-    lhs = np.exp(s) * restrict(band.values, band.start_index)
-    lhs -= restrict(i0_band.values, i0_band.start_index)
+    lhs = np.exp(s) * _window(band.values, band.start_index, n_keep)
+    lhs -= _window(i0_band.values, i0_start, n_keep)
 
-    current = restrict(i1_init.values, i1_init.band.start_index)
+    current = _window(i1_init.values, i1_init.band.start_index, n_keep)
     norm = current.sum() * d
     if norm <= 0:
         raise InvalidParameterError("initial estimate has no weight")
@@ -407,19 +422,8 @@ def iterative_deconvolve(band: SpectralBand, s, i0: ZplShape,
     grow_streak = 0
     grid = d * np.arange(n_keep)
     for it in range(1, max_iter + 1):
-        i1_cur = OnePhononBand(SpectralBand(grid, current), cutoff_mev=cutoff_mev)
-        bands = n_phonon_bands(i1_cur, n_max)
-        # Poisson-weighted multi-phonon remainder, n >= 2
-        acc = np.zeros(bands[-1].values.size)
-        weight = s
-        for n in range(2, n_max + 1):
-            weight *= s / n
-            acc[: bands[n - 1].values.size] += weight * bands[n - 1].values
-        remainder = convolve_bands(
-            i0, SpectralBand(d * np.arange(acc.size), acc)
-        )
-        update = lhs - restrict(remainder.values, remainder.start_index)
-        update = np.clip(update, 0.0, None)
+        remainder = _poisson_series(current, s, n_max, i0_band, d, multiphonon=True)
+        update = np.clip(lhs - _window(remainder, i0_start, n_keep), 0.0, None)
         total = update.sum() * d
         if total <= 0:
             raise DivergenceError(
@@ -430,19 +434,11 @@ def iterative_deconvolve(band: SpectralBand, s, i0: ZplShape,
             )
         update /= total
 
-        resynth = synthesize_band(
-            OnePhononBand(SpectralBand(grid, update), cutoff_mev=cutoff_mev),
-            s, i0, n_max=n_max,
-        )
-        joint_lo = min(band.start_index, resynth.start_index)
-        joint_hi = max(band.start_index + band.values.size,
-                       resynth.start_index + resynth.values.size)
-        width = joint_hi - joint_lo
-        a = np.zeros(width)
-        b = np.zeros(width)
-        a[band.start_index - joint_lo:][: band.values.size] = band.values
-        b[resynth.start_index - joint_lo:][: resynth.values.size] = resynth.values
-        resid = _l2(a - b, d)
+        resynth = np.exp(-s) * _poisson_series(update, s, n_max, i0_band, d)
+        lo = min(band.start_index, i0_start)
+        width = max(band.start_index + band.values.size, i0_start + resynth.size) - lo
+        resid = _l2(_window(band.values, band.start_index - lo, width)
+                    - _window(resynth, i0_start - lo, width), d)
 
         step = _l2(update - current, d)
         trace.n_iter = it
@@ -530,6 +526,8 @@ def critical_point_report(i1, dos: SpectralBand, prominence_frac=0.05,
     """
     if cutoff_mev is None:
         cutoff_mev = getattr(i1, "cutoff_mev", DIAMOND_PHONON_CUTOFF_MEV)
+    from scipy.signal import find_peaks
+
     band = _as_band(i1)
     vals = band.values
     idx, props = find_peaks(vals, prominence=prominence_frac * vals.max())

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +48,13 @@ class TestReadTable:
     def test_missing_file(self, tmp_path):
         with pytest.raises(SchemaError, match="does not exist"):
             read_table(tmp_path / "nope.txt", 2)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_names_line(self, tmp_path, value):
+        p = tmp_path / "bad.txt"
+        p.write_text(f"0 278 1\n10 {value} 1\n")
+        with pytest.raises(SchemaError, match="bad.txt:2: non-finite"):
+            read_table(p, 3)
 
 
 class TestIngest:
@@ -268,6 +278,55 @@ class TestCliUsageErrors:
         cfg.write_text(json.dumps({"E": 139.0}))  # missing D
         assert main(["odmr-sim", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("pipeline, text, message", [
+        ("odmr-sim", "[1, 2]", "must be a JSON object"),
+        ("odmr-sim", '{"D": "x", "E": 100}', "'D': invalid value 'x'"),
+        ("odmr-sim", '{"D": NaN, "E": 100}', "non-finite number NaN"),
+        ("rates-extract", '{"fit": {"alphas": [1, 2], "taus_ns": [1, "x"]}, '
+         '"detected_rate": 1e4, "eta": 0.02}', "'taus_ns': invalid value"),
+        ("psb-synth", '{"S": 2, "zpl": "gaussian", '
+         '"i1": {"gaussians": [{"center_mev": 60, "sigma_mev": 10}]}}',
+         "must be a JSON object"),
+    ], ids=["list", "string-value", "nan-value", "string-in-array", "string-section"])
+    def test_bad_config_exits_2(self, tmp_path, capsys, pipeline, text, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert main([pipeline, "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_non_finite_table_row_exits_2(self, tmp_path, capsys):
+        from defectkit.spin_hamiltonian import ZfsParams, angular_sweep
+        truth = ZfsParams(D=1135.0, E=139.0)
+        angles = np.linspace(0.0, 180.0, 7)
+        table = angular_sweep(truth, 120.0, [0, 0, 1], angles)
+        rows = np.array([(a, f, 1.0) for j, a in enumerate(angles)
+                         for f in table.lines[0, j]])
+        data = tmp_path / "odmr.txt"
+        write_table(data, [rows[:, 0], rows[:, 1], rows[:, 2]],
+                    ["angle_deg", "freq_MHz", "sigma_MHz"])
+        with open(data, "a") as fh:
+            fh.write("90 nan 1\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"data": str(data), "magnitude_G": 120.0,
+                                   "init": {"D": 1130.0, "E": 140.0}}))
+        assert main(["odmr-fit", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert f"odmr.txt:{len(rows) + 2}: non-finite" in capsys.readouterr().err
+
+
+class TestCliImport:
+    def test_import_leaves_scipy_signal_out(self):
+        # scipy.signal is most of a CLI start; only critical_point_report
+        # needs it, and imports it when called
+        import defectkit
+        src = Path(defectkit.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        code = "import sys, defectkit.cli; print('scipy.signal' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestCliPowerSweep:

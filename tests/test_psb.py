@@ -1,3 +1,5 @@
+from math import factorial
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,29 @@ def gaussian_mixture_i1(rng, n=2048, cutoff=OMEGA):
     vals *= np.clip(grid / 10.0, 0, 1) * np.clip((cutoff - grid) / 10.0, 0, 1)
     band = SpectralBand(grid, vals).normalized()
     return OnePhononBand(band, cutoff_mev=cutoff)
+
+
+def direct_series(i1, s, i0, n_max, first=0):
+    """sum_{first<=n<=n_max} S^n/n! I0 (x) In by direct summation (the oracle)."""
+    d = i1.band.spacing
+    bands = n_phonon_bands(i1, n_max, method="direct")
+    comb = np.zeros(bands[-1].values.size)
+    if first == 0:
+        comb[0] = 1.0 / d  # delta(w)
+    for n, band in enumerate(bands, start=1):
+        if n >= first:
+            comb[: band.values.size] += s**n / factorial(n) * band.values
+    return convolve_bands(SpectralBand(d * np.arange(comb.size), comb), i0,
+                          method="direct")
+
+
+def on_window(band, n_keep):
+    """Band values at the grid indices 0..n_keep-1, zero where it has none."""
+    idx = np.round(band.grid / band.spacing).astype(int)
+    keep = (idx >= 0) & (idx < n_keep)
+    vals = np.zeros(n_keep)
+    vals[idx[keep]] = band.values[keep]
+    return vals
 
 
 def l2_error(a, b, d):
@@ -172,6 +197,18 @@ class TestSynthesize:
             zpl_idx = int(round(-band.grid[0] / band.spacing))
             assert abs(band.values[zpl_idx] * band.spacing - np.exp(-s)) < 1e-6
 
+    def test_matches_direct_summation(self):
+        # the Fourier-domain series against Poisson-weighted direct sums;
+        # the explicit n_max=3 at S=5 pins the truncation order
+        rng = np.random.default_rng(15)
+        for s, n_max in ((0.1, None), (2.3, None), (10.0, None), (5.0, 3)):
+            i1 = gaussian_mixture_i1(rng, n=240)
+            zpl = ZplShape.gaussian(i1.band.spacing, 2.0)
+            got = synthesize_band(i1, s, zpl, n_max)
+            want = direct_series(i1, s, zpl, n_max or poisson_n_max(s))
+            assert np.allclose(got.grid, want.grid, rtol=0.0, atol=1e-9)
+            assert np.max(np.abs(got.values - np.exp(-s) * want.values)) <= 1e-12
+
 
 class TestMomentIdentity:
     def test_sideband_mean_energy(self):
@@ -306,6 +343,34 @@ class TestIterativeDeconvolve:
         best = err.value.best_iterate
         assert best is not None
         assert l2_error(best.values, i1.values, i1.band.spacing) < 0.02
+
+    def test_one_pass_matches_hand_built_update(self):
+        # max_iter=1 performs exactly one series-subtraction update,
+        # I1_new = exp(S) I - I0 - sum_{n>=2} S^n/n! I0 (x) In on [0, cutoff],
+        # clipped and renormalized; here it is built from direct sums
+        rng = np.random.default_rng(16)
+        i1 = gaussian_mixture_i1(rng, n=240)
+        d, s = i1.band.spacing, 2.0
+        zpl = ZplShape.gaussian(d, 2.0)
+        band = synthesize_band(i1, s, zpl)
+        init = smooth_and_taper(i1.band, smooth_bins=9, taper_fraction=0.05)
+        n_max, n_keep = poisson_n_max(s), init.values.size
+        out, trace = iterative_deconvolve(band, s, zpl, init, max_iter=1)
+
+        remainder = direct_series(init, s, zpl, n_max, first=2)
+        update = np.clip(np.exp(s) * on_window(band, n_keep)
+                         - on_window(zpl.band, n_keep)
+                         - on_window(remainder, n_keep), 0.0, None)
+        update /= update.sum() * d
+        assert trace.n_iter == 1
+        assert np.allclose(out.grid, init.grid, rtol=0.0, atol=1e-9)
+        assert np.max(np.abs(out.values - update)) <= 1e-12
+
+        resynth = np.exp(-s) * direct_series(
+            OnePhononBand(SpectralBand(init.grid, update)), s, zpl, n_max).values
+        assert resynth.size >= band.values.size  # both start at the ZPL origin
+        diff = resynth - np.pad(band.values, (0, resynth.size - band.values.size))
+        assert abs(trace.resync_l2[0] - np.sqrt(np.sum(diff**2) * d)) <= 1e-12
 
     def test_noisy_band_reaches_residual_plateau(self):
         rng = np.random.default_rng(10)
