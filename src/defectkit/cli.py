@@ -2,8 +2,8 @@
 
 Every run takes a JSON config, writes its outputs into --out and drops a
 manifest.json recording the command, input digests, parameters, tool version
-and output list. Outputs are deterministic for identical inputs and seed;
-the timestamp lives only in the manifest. Exit codes: 0 success, 1 analysis
+and output list. Outputs are deterministic for identical inputs; the
+timestamp lives only in the manifest. Exit codes: 0 success, 1 analysis
 failure (non-convergence and friends), 2 usage or schema errors.
 """
 import argparse
@@ -63,8 +63,17 @@ def _cfg(config, key, default=KeyError, kind=None):
 def _finite_number(text):
     value = float(text)
     if not math.isfinite(value):
-        raise ValueError(f"non-finite number {text} in config")
+        raise ValueError(f"non-finite number {text}")
     return value
+
+
+def _read_json(path):
+    """A JSON file with non-finite numbers refused; any failure is a SchemaError."""
+    try:
+        return json.loads(Path(path).read_text(),
+                          parse_float=_finite_number, parse_constant=_finite_number)
+    except (OSError, ValueError) as err:
+        raise SchemaError(f"cannot read {path}: {err}") from None
 
 
 def _floats(value):
@@ -95,7 +104,7 @@ def _angle_grid(sweep_cfg):
 
 
 @_pipeline("odmr-sim")
-def run_odmr_sim(config, outdir, seed, inputs):
+def run_odmr_sim(config, outdir, inputs):
     p = _zfs_from_config(config, key=None)
     outputs = []
     lines = spin_hamiltonian.zero_field_lines(p)
@@ -133,8 +142,8 @@ def run_odmr_sim(config, outdir, seed, inputs):
 
 
 @_pipeline("odmr-fit")
-def run_odmr_fit(config, outdir, seed, inputs):
-    data_path = _cfg(config, "data")
+def run_odmr_fit(config, outdir, inputs):
+    data_path = _cfg(config, "data", kind=str)
     inputs.append(data_path)
     observed = ingest(DatasetDescriptor(path=data_path, kind="odmr_table"))
     result = spin_hamiltonian.fit_odmr(
@@ -154,7 +163,6 @@ def run_odmr_fit(config, outdir, seed, inputs):
         "axes": result.params.axes.tolist(),
         "rms_MHz": result.rms_mhz,
         "n_iter": result.n_iter,
-        "converged": result.converged,
     })
     write_table(
         outdir / "odmr_residuals.txt",
@@ -165,8 +173,8 @@ def run_odmr_fit(config, outdir, seed, inputs):
 
 
 @_pipeline("g2-fit")
-def run_g2_fit(config, outdir, seed, inputs):
-    data_path = _cfg(config, "data")
+def run_g2_fit(config, outdir, inputs):
+    data_path = _cfg(config, "data", kind=str)
     inputs.append(data_path)
     desc = DatasetDescriptor(path=data_path, kind="g2_histogram",
                              units=_cfg(config, "units", None, dict))
@@ -195,10 +203,11 @@ def run_g2_fit(config, outdir, seed, inputs):
 
 
 @_pipeline("rates-extract")
-def run_rates_extract(config, outdir, seed, inputs):
-    if "fit_file" in config:
-        inputs.append(config["fit_file"])
-        payload = json.loads(Path(config["fit_file"]).read_text())
+def run_rates_extract(config, outdir, inputs):
+    fit_path = _cfg(config, "fit_file", None, str)
+    if fit_path is not None:
+        inputs.append(fit_path)
+        payload = _read_json(fit_path)
     else:
         payload = _cfg(config, "fit")
     fit = g2_processing.G2Fit(
@@ -216,7 +225,7 @@ def run_rates_extract(config, outdir, seed, inputs):
 
 
 @_pipeline("power-sweep")
-def run_power_sweep(config, outdir, seed, inputs):
+def run_power_sweep(config, outdir, inputs):
     base = _cfg(config, "rates", kind=lambda spec: photodynamics.RateParams(**spec))
     powers = _cfg(config, "powers_w", None, _floats)
     if powers is None:
@@ -256,9 +265,10 @@ def _zpl_from_config(config, spacing):
 def _i1_from_config(config, inputs):
     spacing = _cfg(config, "spacing_mev", 0.25, float)
     cutoff = _cfg(config, "cutoff_mev", psb.DIAMOND_PHONON_CUTOFF_MEV, float)
-    if "i1_file" in config:
-        inputs.append(config["i1_file"])
-        band = ingest(DatasetDescriptor(path=config["i1_file"], kind="dos_table",
+    i1_path = _cfg(config, "i1_file", None, str)
+    if i1_path is not None:
+        inputs.append(i1_path)
+        band = ingest(DatasetDescriptor(path=i1_path, kind="dos_table",
                                         units={"spacing_mev": spacing}))
         return psb.smooth_and_taper(band, cutoff, smooth_bins=1), spacing, cutoff
     spec = _cfg(config, "i1")
@@ -273,7 +283,7 @@ def _i1_from_config(config, inputs):
 
 
 @_pipeline("psb-synth")
-def run_psb_synth(config, outdir, seed, inputs):
+def run_psb_synth(config, outdir, inputs):
     i1, spacing, cutoff = _i1_from_config(config, inputs)
     s = _cfg(config, "S", kind=float)
     zpl = _zpl_from_config(config, spacing)
@@ -292,12 +302,13 @@ def run_psb_synth(config, outdir, seed, inputs):
 
 
 @_pipeline("psb-deconvolve")
-def run_psb_deconvolve(config, outdir, seed, inputs):
+def run_psb_deconvolve(config, outdir, inputs):
     spacing = _cfg(config, "spacing_mev", 0.25, float)
     cutoff = _cfg(config, "cutoff_mev", psb.DIAMOND_PHONON_CUTOFF_MEV, float)
-    if "spectrum" in config:
-        inputs.append(config["spectrum"])
-        desc = DatasetDescriptor(path=config["spectrum"], kind="emission_spectrum",
+    spectrum_path = _cfg(config, "spectrum", None, str)
+    if spectrum_path is not None:
+        inputs.append(spectrum_path)
+        desc = DatasetDescriptor(path=spectrum_path, kind="emission_spectrum",
                                  units=dict(_cfg(config, "units", {}, dict),
                                             spacing_mev=spacing))
         if desc.sidecar_path().exists():
@@ -305,7 +316,7 @@ def run_psb_deconvolve(config, outdir, seed, inputs):
         spectrum: EmissionSpectrum = ingest(desc)
         band = psb.bandshape_from_emission(spectrum.band, spectrum.zpl_mev)
     else:
-        band_path = _cfg(config, "band")
+        band_path = _cfg(config, "band", kind=str)
         inputs.append(band_path)
         band = ingest(DatasetDescriptor(path=band_path, kind="dos_table",
                                         units={"spacing_mev": spacing})).normalized()
@@ -335,9 +346,10 @@ def run_psb_deconvolve(config, outdir, seed, inputs):
         "resynthesis_l2": trace.resync_l2,
     })
     outputs = ["one_phonon_band.txt", "convergence.json"]
-    if "dos" in config:
-        inputs.append(config["dos"])
-        dos = ingest(DatasetDescriptor(path=config["dos"], kind="dos_table"))
+    dos_path = _cfg(config, "dos", None, str)
+    if dos_path is not None:
+        inputs.append(dos_path)
+        dos = ingest(DatasetDescriptor(path=dos_path, kind="dos_table"))
         report = psb.critical_point_report(i1, dos)
         write_json(outdir / "critical_points.json", {
             "peaks": [asdict(p) for p in report.peaks],
@@ -352,7 +364,7 @@ def run_psb_deconvolve(config, outdir, seed, inputs):
 
 
 @_pipeline("defect-classify")
-def run_defect_classify(config, outdir, seed, inputs):
+def run_defect_classify(config, outdir, inputs):
     group = defect_model.point_group(config.get("group", "C2v"))
     geo_cfg = _cfg(config, "geometry", {})
     delta = _cfg(geo_cfg, "delta", 0.0, float)
@@ -411,11 +423,10 @@ def run_defect_classify(config, outdir, seed, inputs):
     return ["classification.json", "classification.txt"]
 
 
-def write_manifest(outdir, command, config, inputs, outputs, seed):
+def write_manifest(outdir, command, config, inputs, outputs):
     manifest = {
         "command": command,
         "tool_version": __version__,
-        "seed": seed,
         "parameters": config,
         "inputs": {str(p): sha256_of(p) for p in inputs},
         "outputs": sorted(outputs),
@@ -435,7 +446,6 @@ def build_parser():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=0)
     return parser
 
 
@@ -443,10 +453,9 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = json.loads(Path(args.config).read_text(),
-                            parse_float=_finite_number, parse_constant=_finite_number)
-    except (OSError, ValueError) as err:
-        print(f"defectkit: cannot read config: {err}", file=sys.stderr)
+        config = _read_json(args.config)
+    except SchemaError as err:
+        print(f"defectkit: {err}", file=sys.stderr)
         return 2
     if not isinstance(config, dict):
         print("defectkit: config must be a JSON object", file=sys.stderr)
@@ -455,7 +464,7 @@ def main(argv=None):
     outdir.mkdir(parents=True, exist_ok=True)
     inputs = [args.config]
     try:
-        outputs = PIPELINES[args.pipeline](config, outdir, args.seed, inputs)
+        outputs = PIPELINES[args.pipeline](config, outdir, inputs)
     except (SchemaError, InvalidParameterError) as err:
         # malformed configs and data are usage problems, not analysis ones
         print(f"defectkit: {args.pipeline}: {err}", file=sys.stderr)
@@ -463,7 +472,7 @@ def main(argv=None):
     except DefectKitError as err:
         print(f"defectkit: {args.pipeline}: {err}", file=sys.stderr)
         return 1
-    write_manifest(outdir, args.pipeline, config, inputs, outputs, args.seed)
+    write_manifest(outdir, args.pipeline, config, inputs, outputs)
     return 0
 
 

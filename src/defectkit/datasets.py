@@ -94,12 +94,26 @@ def _read_sidecar(desc, required):
             meta = json.loads(sc.read_text())
         except json.JSONDecodeError as err:
             raise SchemaError(f"{sc}: invalid JSON sidecar: {err}")
+        if not isinstance(meta, dict):
+            raise SchemaError(f"{sc}: sidecar must be a JSON object")
     if desc.units:
         meta.update(desc.units)
     missing = [k for k in required if k not in meta]
     if missing:
         raise SchemaError(f"{desc.path}: sidecar missing keys {missing}")
     return meta
+
+
+def _number(desc, meta, key, default=None):
+    """meta[key] (or default) as a finite float; errors name the key."""
+    value = meta.get(key, default)
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise SchemaError(f"{desc.path}: sidecar key {key!r}: invalid value {value!r}")
+    return number
 
 
 @dataclass
@@ -143,12 +157,12 @@ def ingest(desc: DatasetDescriptor):
         hist = CoincidenceHistogram(
             bin_centers=data[:, 0],
             counts=data[:, 1],
-            bin_width_ns=float(meta["bin_width_ns"]),
-            accumulation_time_s=float(meta["accumulation_time_s"]),
-            n1=float(meta["n1"]),
-            n2=float(meta["n2"]),
+            bin_width_ns=_number(desc, meta, "bin_width_ns"),
+            accumulation_time_s=_number(desc, meta, "accumulation_time_s"),
+            n1=_number(desc, meta, "n1"),
+            n2=_number(desc, meta, "n2"),
         )
-        rho = float(meta.get("rho", 1.0))
+        rho = _number(desc, meta, "rho", 1.0)
         log.info("g2_histogram %s: %d bins, %.4g total counts", desc.path,
                  len(data), data[:, 1].sum())
         return hist, rho
@@ -157,19 +171,18 @@ def ingest(desc: DatasetDescriptor):
         data = read_table(desc.path, 2)
         meta = _read_sidecar(desc, ["axis", "zpl"])
         axis = meta["axis"]
-        spacing = float(meta.get("spacing_mev", 0.25))
+        spacing = _number(desc, meta, "spacing_mev", 0.25)
         x, y = data[:, 0], data[:, 1]
         steps = np.diff(x)
         if not (np.all(steps > 0) or np.all(steps < 0)):
             raise SchemaError(f"{desc.path}: spectrum axis must be monotone")
+        zpl = _number(desc, meta, "zpl")
         if axis == "wavelength_nm":
-            if np.any(x <= 0):
+            if np.any(x <= 0) or zpl <= 0:
                 raise SchemaError(f"{desc.path}: wavelengths must be positive")
             x = 1e3 * HC_EV_NM / x
-            zpl = 1e3 * HC_EV_NM / float(meta["zpl"])
-        elif axis == "energy_mev":
-            zpl = float(meta["zpl"])
-        else:
+            zpl = 1e3 * HC_EV_NM / zpl
+        elif axis != "energy_mev":
             raise SchemaError(f"{desc.path}: axis must be wavelength_nm or energy_mev")
         order = np.argsort(x)
         x, y = x[order], y[order]

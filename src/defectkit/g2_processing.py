@@ -9,7 +9,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import ConvergenceError, InvalidParameterError
 
@@ -141,6 +140,8 @@ def fit_g2(tau_ns, values, n_exp=4, counts=None, init_taus=None, rho=1.0,
     at least about three decades; a narrower span triggers a warning, as
     does a Jacobian condition number above 1e12.
     """
+    from scipy.optimize import least_squares
+
     tau_ns = np.asarray(tau_ns, dtype=float)
     values = np.asarray(values, dtype=float)
     keep = tau_ns >= 0

@@ -17,7 +17,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import expm
 
 from .constants import photon_energy_J
 from .errors import (
@@ -249,6 +248,8 @@ def g2_numeric(r: RateParams, tau_s) -> np.ndarray:
     step-size error to control; this is the brute-force reference for
     g2_analytic. Initial state is S0=1 (just after a photon detection).
     """
+    from scipy.linalg import expm
+
     tau = np.asarray(tau_s, dtype=float)
     if np.any(tau < 0):
         raise InvalidParameterError("tau_grid must be >= 0")

@@ -7,7 +7,6 @@ matrices in the |+1>, |0>, |-1> basis; the zero-field eigenvalues are then
 {-2D/3, D/3 - E, D/3 + E}.
 """
 from dataclasses import dataclass, field, replace
-from itertools import combinations
 
 import numpy as np
 
@@ -48,11 +47,6 @@ class ZfsParams:
         if self.E < 0:
             raise InvalidParameterError("E must be >= 0 (convention)")
 
-    @property
-    def gamma_mhz_per_g(self):
-        """Electron gyromagnetic ratio g * muB/h in MHz per Gauss."""
-        return self.g * MU_B_MHZ_PER_G
-
 
 @dataclass(frozen=True)
 class FieldVec:
@@ -84,14 +78,7 @@ class OdmrLineSet:
 
 def build_hamiltonian(p: ZfsParams, b: FieldVec) -> np.ndarray:
     """3x3 Hermitian spin Hamiltonian in MHz for field b (crystal frame)."""
-    bx, by, bz = p.axes @ b.B  # field components along the defect axes
-    gam = p.gamma_mhz_per_g
-    h = (
-        p.D * (SPIN1_Z @ SPIN1_Z - (2.0 / 3.0) * SPIN1_ID)
-        + p.E * (SPIN1_X @ SPIN1_X - SPIN1_Y @ SPIN1_Y)
-        + gam * (bx * SPIN1_X + by * SPIN1_Y + bz * SPIN1_Z)
-    )
-    return h
+    return _batched_hamiltonian(p.D, p.E, p.g, p.axes, b.B[None])[0]
 
 
 def zero_field_lines(p: ZfsParams) -> OdmrLineSet:
@@ -119,20 +106,24 @@ def transition_frequencies(p: ZfsParams, b: FieldVec) -> OdmrLineSet:
     )
 
 
-def _batched_lines(D, E, g, axes, b_vectors):
-    """Sorted transition frequencies for a stack of field vectors, (n, 3)."""
-    b_def = b_vectors @ axes.T
+def _batched_hamiltonian(D, E, g, axes, b_vectors):
+    """Spin Hamiltonians in MHz for a stack of crystal-frame fields, (n, 3, 3)."""
+    b_def = b_vectors @ axes.T  # field components along the defect axes
     gam = g * MU_B_MHZ_PER_G
     hz = D * (SPIN1_Z @ SPIN1_Z - (2.0 / 3.0) * SPIN1_ID) + E * (
         SPIN1_X @ SPIN1_X - SPIN1_Y @ SPIN1_Y
     )
-    h = (
+    return (
         hz[None, :, :]
         + gam * b_def[:, 0, None, None] * SPIN1_X
         + gam * b_def[:, 1, None, None] * SPIN1_Y
         + gam * b_def[:, 2, None, None] * SPIN1_Z
     )
-    ev = np.linalg.eigvalsh(h)
+
+
+def _batched_lines(D, E, g, axes, b_vectors):
+    """Sorted transition frequencies for a stack of field vectors, (n, 3)."""
+    ev = np.linalg.eigvalsh(_batched_hamiltonian(D, E, g, axes, b_vectors))
     lines = np.stack([ev[:, 1] - ev[:, 0], ev[:, 2] - ev[:, 1], ev[:, 2] - ev[:, 0]], axis=1)
     lines.sort(axis=1)
     return lines
@@ -233,8 +224,8 @@ def angular_sweep(p: ZfsParams, magnitude, plane_normal, angles_deg,
     )
 
 
-def _combinations3(k):
-    return list(combinations(range(3), k))
+# order-preserving branch pairs for two lines at one angle
+_PAIRS = np.array([(0, 1), (0, 2), (1, 2)])
 
 
 @dataclass
@@ -245,7 +236,6 @@ class OdmrFitResult:
     param_names: tuple
     rms_mhz: float
     n_iter: int
-    converged: bool
 
 
 def _observed_array(observed):
@@ -268,15 +258,16 @@ def fit_odmr(observed, init: ZfsParams, magnitude, plane_normal=(0, 0, 1),
 
     observed: rows of (angle_deg, freq_MHz, sigma_MHz) where the field of
     fixed magnitude was rotated in the plane perpendicular to plane_normal.
-    Observed frequencies sharing an angle are matched to distinct simulated
-    branches by order-preserving nearest assignment (a lone frequency simply
-    takes its nearest branch); this keeps multiple observations from
-    collapsing onto one branch. fit_orientation frees two rotations moving
-    the defect z axis; fit_tilt frees the rotation about z that reorients
-    the minor axes (the tilt suggested by imperfect high-symmetry fits).
-    Damped Gauss-Newton with a Levenberg schedule (damping starts at 1e-3,
-    x10 on reject, /10 on accept); exhausting the damping schedule without
-    an improving step counts as stationary.
+    Observed frequencies sharing an angle are matched to simulated branches
+    in ascending order: three take the three branches, two take the
+    order-preserving pair of branches with the least cost (which keeps them
+    from collapsing onto one branch), and a lone frequency, or each of more
+    than three, takes its nearest branch. fit_orientation frees two rotations
+    moving the defect z axis; fit_tilt frees the rotation about z that
+    reorients the minor axes (the tilt suggested by imperfect high-symmetry
+    fits). Damped Gauss-Newton with a Levenberg schedule (damping starts at
+    1e-3, x10 on reject, /10 on accept); exhausting the damping schedule
+    without an improving step counts as stationary.
 
     The initial guess must lie in the basin of the global minimum; ODMR
     branch crossings make the problem multimodal.
@@ -284,14 +275,24 @@ def fit_odmr(observed, init: ZfsParams, magnitude, plane_normal=(0, 0, 1),
     obs = _observed_array(observed)
     if len(obs) < 6:
         raise InvalidParameterError("need at least 6 data points")
+    freqs, sigma = obs[:, 1], obs[:, 2]
+    angles, at = np.unique(obs[:, 0], return_inverse=True)
     u, v = plane_basis(plane_normal)
-    rad = np.deg2rad(obs[:, 0])
+    rad = np.deg2rad(angles)
     b_vectors = magnitude * (np.outer(np.cos(rad), u) + np.outer(np.sin(rad), v))
-    sigma = obs[:, 2]
-    freqs = obs[:, 1]
-    groups = {}
-    for i, a in enumerate(obs[:, 0]):
-        groups.setdefault(float(a), []).append(i)
+    # branch matching set-up: the size of each row's angle group and the
+    # row's rank by frequency within it; residuals() fills in the branch of
+    # every row outside a group of three
+    count = np.bincount(at)
+    order = np.lexsort((freqs, at))
+    rank = np.empty_like(at)
+    rank[order] = np.arange(len(obs)) - (np.cumsum(count) - count)[at[order]]
+    size = count[at]
+    rows = np.arange(len(obs))
+    nearest = (size == 1) | (size > 3)
+    pairs = order[size[order] == 2]
+    lo, hi = pairs[0::2], pairs[1::2]  # lower and upper line of each pair
+    branch = np.where(size == 3, rank, 0)
 
     names = ["D", "E"]
     if fit_orientation:
@@ -315,39 +316,24 @@ def fit_odmr(observed, init: ZfsParams, magnitude, plane_normal=(0, 0, 1),
 
     def residuals(theta):
         lines = _batched_lines(theta[0], theta[1], init.g, axes_for(theta), b_vectors)
-        out = np.empty(len(obs))
-        for idx in groups.values():
-            pred = lines[idx[0]]
-            if len(idx) <= 3:
-                # collision-free: observed lines at one angle go to distinct
-                # branches, order preserved (optimal 1-d matching)
-                order = np.argsort(freqs[idx])
-                rows = [idx[k] for k in order]
-                best = None
-                for combo in _combinations3(len(rows)):
-                    d = np.array([freqs[r] - pred[c] for r, c in zip(rows, combo)])
-                    cost = float(np.sum((d / sigma[rows]) ** 2))
-                    if best is None or cost < best[0]:
-                        best = (cost, d)
-                out[rows] = best[1] / sigma[rows]
-            else:
-                for r in idx:
-                    out[r] = (pred[np.argmin(np.abs(pred - freqs[r]))] - freqs[r])
-                    out[r] = -out[r] / sigma[r]
-        return out
+        d = freqs[:, None] - lines[at]
+        w = d / sigma[:, None]
+        branch[nearest] = np.argmin(np.abs(d[nearest]), axis=1)
+        cost = w[lo][:, _PAIRS[:, 0]] ** 2 + w[hi][:, _PAIRS[:, 1]] ** 2
+        branch[lo], branch[hi] = _PAIRS[np.argmin(cost, axis=1)].T
+        return w[rows, branch]
 
     theta = np.zeros(len(names))
     theta[0], theta[1] = init.D, init.E
 
-    def jacobian(theta):
-        r0 = residuals(theta)
+    def jacobian(theta, r0):
         J = np.empty((len(obs), len(theta)))
         for k in range(len(theta)):
             step = 1e-6 * max(1.0, abs(theta[k]))
             tp = theta.copy()
             tp[k] += step
             J[:, k] = (residuals(tp) - r0) / step
-        return J, r0
+        return J
 
     lam = 1e-3
     converged = False
@@ -355,7 +341,7 @@ def fit_odmr(observed, init: ZfsParams, magnitude, plane_normal=(0, 0, 1),
     r = residuals(theta)
     cost = float(r @ r)
     for n_iter in range(1, max_iter + 1):
-        J, r = jacobian(theta)
+        J = jacobian(theta, r)
         jtj = J.T @ J
         jtr = J.T @ r
         accepted = False
@@ -371,7 +357,7 @@ def fit_odmr(observed, init: ZfsParams, magnitude, plane_normal=(0, 0, 1),
             r_trial = residuals(trial)
             trial_cost = float(r_trial @ r_trial)
             if trial_cost <= cost:
-                theta, cost = trial, trial_cost
+                theta, r, cost = trial, r_trial, trial_cost
                 lam = max(lam / 10.0, 1e-12)
                 accepted = True
                 break
@@ -391,7 +377,7 @@ def fit_odmr(observed, init: ZfsParams, magnitude, plane_normal=(0, 0, 1),
             diagnostics={"cost": cost},
         )
 
-    J, r = jacobian(theta)
+    J = jacobian(theta, r)
     jtj = J.T @ J
     dof = max(len(obs) - len(theta), 1)
     s2 = cost / dof
@@ -408,5 +394,4 @@ def fit_odmr(observed, init: ZfsParams, magnitude, plane_normal=(0, 0, 1),
         param_names=names,
         rms_mhz=float(np.sqrt(np.mean((r * sigma) ** 2))),
         n_iter=n_iter,
-        converged=True,
     )

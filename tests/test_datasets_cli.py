@@ -110,6 +110,38 @@ class TestIngest:
         assert rho == 0.9
         assert hist.counts.sum() == 32 * 7
 
+    @pytest.mark.parametrize("key, value", [
+        ("n1", "x"), ("n2", None), ("bin_width_ns", float("nan")),
+        ("accumulation_time_s", float("inf")), ("rho", [0.9]),
+    ])
+    def test_g2_sidecar_bad_number_names_key(self, tmp_path, key, value):
+        p = tmp_path / "hist.txt"
+        p.write_text("0 10\n1 12\n")
+        meta = {"n1": 1e5, "n2": 1e5, "bin_width_ns": 1.0, "accumulation_time_s": 10.0}
+        meta[key] = value
+        Path(str(p) + ".json").write_text(json.dumps(meta))
+        with pytest.raises(SchemaError, match=f"sidecar key '{key}': invalid value"):
+            ingest(DatasetDescriptor(path=str(p), kind="g2_histogram"))
+
+    @pytest.mark.parametrize("key, value", [
+        ("zpl", "x"), ("zpl", float("-inf")), ("spacing_mev", float("nan")),
+    ])
+    def test_emission_sidecar_bad_number_names_key(self, tmp_path, key, value):
+        p = tmp_path / "spec.txt"
+        p.write_text("700 1\n710 2\n720 1\n")
+        meta = {"axis": "wavelength_nm", "zpl": 700.0}
+        meta[key] = value
+        Path(str(p) + ".json").write_text(json.dumps(meta))
+        with pytest.raises(SchemaError, match=f"sidecar key '{key}': invalid value"):
+            ingest(DatasetDescriptor(path=str(p), kind="emission_spectrum"))
+
+    def test_sidecar_not_an_object(self, tmp_path):
+        p = tmp_path / "hist.txt"
+        p.write_text("0 10\n1 12\n")
+        Path(str(p) + ".json").write_text("[1e5, 1e5, 1.0, 10.0]")
+        with pytest.raises(SchemaError, match="sidecar must be a JSON object"):
+            ingest(DatasetDescriptor(path=str(p), kind="g2_histogram"))
+
     def test_rates_json(self, tmp_path):
         p = tmp_path / "rates.json"
         p.write_text(json.dumps({"k_ex": 1e6, "k_f": 1e8, "k_isc": 1e6,
@@ -316,17 +348,54 @@ class TestCliUsageErrors:
         assert f"odmr.txt:{len(rows) + 2}: non-finite" in capsys.readouterr().err
 
 
+    def test_non_numeric_sidecar_exits_2(self, tmp_path, capsys):
+        data = tmp_path / "hist.txt"
+        write_table(data, [np.arange(64.0), np.full(64, 7.0)], ["tau_ns", "counts"])
+        Path(str(data) + ".json").write_text(json.dumps(
+            {"n1": "x", "n2": 1e5, "bin_width_ns": 1.0, "accumulation_time_s": 10.0}))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"data": str(data)}))
+        assert main(["g2-fit", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "sidecar key 'n1': invalid value 'x'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        (None, "fit.json: [Errno 2] No such file"),
+        ("[1, 2]", "must be a JSON object"),
+        ('{"alphas": [1], "taus_ns": [NaN]}', "non-finite number NaN"),
+    ], ids=["missing", "list", "nan"])
+    def test_bad_fit_file_exits_2(self, tmp_path, capsys, text, message):
+        fit_file = tmp_path / "fit.json"
+        if text is not None:
+            fit_file.write_text(text)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"fit_file": str(fit_file), "detected_rate": 1e4,
+                                   "eta": 0.02}))
+        assert main(["rates-extract", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_non_string_data_path_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"data": 5, "magnitude_G": 120.0,
+                                   "init": {"D": 1130.0, "E": 140.0}}))
+        assert main(["odmr-fit", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "5: file does not exist" in capsys.readouterr().err
+
+
 class TestCliImport:
     def test_import_leaves_scipy_signal_out(self):
-        # scipy.signal is most of a CLI start; only critical_point_report
-        # needs it, and imports it when called
+        # scipy is most of a CLI start; critical_point_report (scipy.signal),
+        # fit_g2 (scipy.optimize) and g2_numeric (scipy.linalg) import it
+        # when called
         import defectkit
         src = Path(defectkit.__file__).resolve().parents[1]
         env = dict(os.environ, PYTHONPATH=str(src))
-        code = "import sys, defectkit.cli; print('scipy.signal' in sys.modules)"
+        code = ("import sys, defectkit.cli; print([m for m in "
+                "('scipy.signal', 'scipy.optimize', 'scipy.linalg') if m in sys.modules])")
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"
+        assert out.stdout.strip() == "[]"
 
 
 class TestCliPowerSweep:

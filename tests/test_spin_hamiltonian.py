@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -221,6 +223,57 @@ class TestFitOdmr:
         assert res.param_names == ("D", "E", "rot_x", "rot_y")
         assert res.rms_mhz < 1e-4
         assert abs(res.params.D - 1135.0) < 0.01
+
+
+def reference_matched_residuals(obs, p, magnitude):
+    """Observed minus matched branch (MHz), matching one angle at a time.
+
+    Up to three lines at an angle take the order-preserving choice of
+    distinct branches with the least weighted cost (first on a tie); each of
+    more than three takes its nearest branch.
+    """
+    u, v = plane_basis([0, 0, 1])
+    out = np.empty(len(obs))
+    for a in np.unique(obs[:, 0]):
+        rad = np.deg2rad(a)
+        pred = transition_frequencies(
+            p, FieldVec(magnitude * (np.cos(rad) * u + np.sin(rad) * v))).frequencies
+        idx = np.flatnonzero(obs[:, 0] == a)
+        idx = idx[np.argsort(obs[idx, 1], kind="stable")]
+        f, s = obs[idx, 1], obs[idx, 2]
+        if len(idx) <= 3:
+            best = min(combinations(range(3), len(idx)),
+                       key=lambda c: np.sum(((f - pred[list(c)]) / s) ** 2))
+            out[idx] = f - pred[list(best)]
+        else:
+            out[idx] = f - pred[np.argmin(np.abs(f[:, None] - pred), axis=1)]
+    return out
+
+
+class TestBranchMatching:
+    @pytest.mark.parametrize("fit_tilt", [False, True])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_per_angle_reference(self, seed, fit_tilt):
+        # 1, 2, 3, 4 and 5 lines per angle, drawn from random branches,
+        # noisy, with unequal sigmas and the rows shuffled
+        rng = np.random.default_rng(seed)
+        truth = ZfsParams(D=1135.0, E=139.0, axes=orientation_family()[seed])
+        angles = np.linspace(0.0, 180.0, 25)
+        table = angular_sweep(truth, 120.0, [0, 0, 1], angles)
+        rows = []
+        for j, a in enumerate(angles):
+            n = 1 + j % 5
+            picks = (np.sort(rng.choice(3, size=n, replace=False)) if n <= 3
+                     else np.concatenate([np.arange(3), rng.integers(0, 3, n - 3)]))
+            for k in picks:
+                rows.append((a, table.lines[0, j, k] + rng.normal(scale=0.3),
+                             rng.uniform(0.5, 2.0)))
+        obs = np.asarray(rows)[rng.permutation(len(rows))]
+        init = ZfsParams(D=1125.0, E=145.0, axes=truth.axes)
+        res = fit_odmr(obs, init, 120.0, fit_tilt=fit_tilt)
+        assert res.rms_mhz < 1.0
+        ref = reference_matched_residuals(obs, res.params, 120.0)
+        assert np.allclose(res.residuals, ref, rtol=0, atol=1e-9)
 
 
 class TestPlaneBasis:
