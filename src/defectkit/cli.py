@@ -85,6 +85,12 @@ def _float_pair(value):
     return lo, hi
 
 
+def _axis_labels(value):
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise TypeError("expected a list of axis labels")
+    return value
+
+
 def _zfs_from_config(config, key="init"):
     spec = _cfg(config, key, {}) if key else config
     return spin_hamiltonian.ZfsParams(
@@ -379,8 +385,8 @@ def run_defect_classify(config, outdir, inputs):
     if constraints is not None:
         selected = defect_model.candidate_filter(
             records,
-            dipole_axes=_cfg(constraints, "dipole_axes", None),
-            spin_axes=_cfg(constraints, "spin_axes", None),
+            dipole_axes=_cfg(constraints, "dipole_axes", None, _axis_labels),
+            spin_axes=_cfg(constraints, "spin_axes", None, _axis_labels),
             require_coalignment=bool(_cfg(constraints, "require_coalignment", False)),
         )
     counts = _cfg(config, "electron_counts", [4, 6], lambda ns: [int(n) for n in ns])

@@ -16,12 +16,11 @@ import numpy as np
 from .constants import HC_EV_NM
 from .errors import SchemaError
 from .g2_processing import CoincidenceHistogram
-from .photodynamics import RateParams
 from .psb import SpectralBand, make_grid
 
 log = logging.getLogger(__name__)
 
-KINDS = ("odmr_table", "g2_histogram", "emission_spectrum", "dos_table", "rates_json")
+KINDS = ("odmr_table", "g2_histogram", "emission_spectrum", "dos_table")
 
 
 @dataclass(frozen=True)
@@ -29,27 +28,33 @@ class DatasetDescriptor:
     """A path plus the schema it is expected to satisfy.
 
     units carries per-kind declarations (e.g. the emission axis type) and
-    overrides the sidecar; sidecar defaults to '<path>.json' where one is
-    needed.
+    overrides the sidecar, '<path>.json', where one is needed.
     """
 
     path: str
     kind: str
     units: dict = None
-    sidecar: str = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise SchemaError(f"unknown dataset kind {self.kind!r}")
 
     def sidecar_path(self):
-        return Path(self.sidecar) if self.sidecar else Path(str(self.path) + ".json")
+        return Path(str(self.path) + ".json")
 
 
 def sha256_of(path):
     h = hashlib.sha256()
     h.update(Path(path).read_bytes())
     return h.hexdigest()
+
+
+def _read_text(path):
+    """A file's text; a file that cannot be read or decoded is a SchemaError."""
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as err:
+        raise SchemaError(f"{path}: cannot read: {err}") from None
 
 
 def read_table(path, min_cols, max_cols=None):
@@ -60,7 +65,7 @@ def read_table(path, min_cols, max_cols=None):
     if not path.exists():
         raise SchemaError(f"{path}: file does not exist")
     width = None
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -91,7 +96,7 @@ def _read_sidecar(desc, required):
     meta = {}
     if sc.exists():
         try:
-            meta = json.loads(sc.read_text())
+            meta = json.loads(_read_text(sc))
         except json.JSONDecodeError as err:
             raise SchemaError(f"{sc}: invalid JSON sidecar: {err}")
         if not isinstance(meta, dict):
@@ -137,7 +142,6 @@ def ingest(desc: DatasetDescriptor):
       g2_histogram      -> (CoincidenceHistogram, rho)
       emission_spectrum -> EmissionSpectrum (meV axis, ascending)
       dos_table         -> SpectralBand (meV axis)
-      rates_json        -> RateParams
     """
     if desc.kind == "odmr_table":
         data = read_table(desc.path, 2, 3)
@@ -191,30 +195,14 @@ def ingest(desc: DatasetDescriptor):
                  band.grid.size, band.grid[0], band.grid[-1])
         return EmissionSpectrum(band=band, zpl_mev=zpl)
 
-    if desc.kind == "dos_table":
-        data = read_table(desc.path, 2)
-        if np.any(np.diff(data[:, 0]) <= 0):
-            raise SchemaError(f"{desc.path}: DOS energy axis must be ascending")
-        spacing = float((desc.units or {}).get("spacing_mev", 0.25))
-        band = _resample_uniform(data[:, 0], np.clip(data[:, 1], 0.0, None), spacing)
-        log.info("dos_table %s: %d points", desc.path, band.grid.size)
-        return band
-
-    if desc.kind == "rates_json":
-        try:
-            payload = json.loads(Path(desc.path).read_text())
-        except (OSError, json.JSONDecodeError) as err:
-            raise SchemaError(f"{desc.path}: {err}")
-        keys = {"k_ex", "k_f", "k_isc", "k0", "km", "kp"}
-        missing = keys - payload.keys()
-        if missing:
-            raise SchemaError(f"{desc.path}: rates JSON missing {sorted(missing)}")
-        extra = payload.keys() - keys - {"beta", "eta"}
-        if extra:
-            raise SchemaError(f"{desc.path}: unknown rate keys {sorted(extra)}")
-        return RateParams(**payload)
-
-    raise SchemaError(f"unknown dataset kind {desc.kind!r}")
+    # dos_table, the last of KINDS
+    data = read_table(desc.path, 2)
+    if np.any(np.diff(data[:, 0]) <= 0):
+        raise SchemaError(f"{desc.path}: DOS energy axis must be ascending")
+    spacing = float((desc.units or {}).get("spacing_mev", 0.25))
+    band = _resample_uniform(data[:, 0], np.clip(data[:, 1], 0.0, None), spacing)
+    log.info("dos_table %s: %d points", desc.path, band.grid.size)
+    return band
 
 
 def write_table(path, columns, header):

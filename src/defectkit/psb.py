@@ -91,6 +91,8 @@ class SpectralBand:
 
 def make_grid(lo_mev, hi_mev, spacing_mev=0.25):
     """Uniform grid on multiples of the spacing covering [lo, hi]."""
+    if not spacing_mev > 0:
+        raise InvalidParameterError("grid spacing must be positive")
     i0 = int(np.floor(lo_mev / spacing_mev + 1e-12))
     i1 = int(np.ceil(hi_mev / spacing_mev - 1e-12))
     return spacing_mev * np.arange(i0, i1 + 1)
@@ -116,6 +118,8 @@ class ZplShape:
 
     @classmethod
     def gaussian(cls, spacing_mev, sigma_mev, extent=5.0):
+        if not sigma_mev > 0:
+            raise InvalidParameterError("ZPL width must be positive")
         n = max(int(np.ceil(extent * sigma_mev / spacing_mev)), 1)
         grid = spacing_mev * np.arange(-n, n + 1)
         values = np.exp(-0.5 * (grid / sigma_mev) ** 2)
@@ -226,26 +230,23 @@ def poisson_truncation_bound(s, n_max):
     return max(1.0 - acc, 0.0)
 
 
-def _poisson_series(i1_values, s, n_max, i0, d, multiphonon=False):
-    """Poisson series sum_{n<=n_max} S^n/n! I0 (x) In, from I0's origin.
-
-    Horner's rule in x = S F[I1] (F[In] = F[I1]^n) on a power-of-two grid
-    past the linear support n_max*(len(I1) - 1) + len(I0). multiphonon
-    subtracts the n=0 and n=1 terms 1 + x, leaving the n>=2 remainder.
-    """
+def _series_support(n_max, n1, i0, d):
+    """Length of sum_{n<=n_max} I0 (x) In (len(I1) = n1), and an FFT length past it."""
     if n_max < 1:
         raise InvalidParameterError("n_max must be >= 1")
-    i0 = _as_band(i0)
     _check_spacing(i0, d)
-    size = n_max * (i1_values.size - 1) + i0.values.size
-    n_fft = 1 << (size - 1).bit_length()
+    size = n_max * (n1 - 1) + i0.values.size
+    return size, 1 << (size - 1).bit_length()
+
+
+def _poisson_series(i1_values, s, n_max, n_fft, d):
+    """x = S F[I1] and sum_{n<=n_max} x^n/n! by Horner's rule (F[In] = F[I1]^n);
+    F[I0] times the series transforms sum_{n<=n_max} S^n/n! I0 (x) In."""
     x = s * d * np.fft.rfft(i1_values, n_fft)
     series = 1.0
     for n in range(n_max, 0, -1):
         series = 1.0 + x / n * series
-    if multiphonon:
-        series = series - 1.0 - x
-    return np.fft.irfft(np.fft.rfft(i0.values, n_fft) * series, n_fft)[:size]
+    return x, series
 
 
 def synthesize_band(i1: OnePhononBand, s, i0: ZplShape, n_max=None) -> SpectralBand:
@@ -262,9 +263,12 @@ def synthesize_band(i1: OnePhononBand, s, i0: ZplShape, n_max=None) -> SpectralB
     if i1_band.start_index != 0:
         raise InvalidParameterError("one-phonon band grid must start at zero")
     d = i1_band.spacing
-    vals = np.exp(-s) * _poisson_series(i1_band.values, s, n_max, i0, d)
-    start = _as_band(i0).start_index
-    return SpectralBand(d * np.arange(start, start + vals.size), vals)
+    i0_band = _as_band(i0)
+    size, n_fft = _series_support(n_max, i1_band.values.size, i0_band, d)
+    _, series = _poisson_series(i1_band.values, s, n_max, n_fft, d)
+    vals = np.exp(-s) * np.fft.irfft(np.fft.rfft(i0_band.values, n_fft) * series,
+                                     n_fft)[:size]
+    return SpectralBand(d * (i0_band.start_index + np.arange(size)), vals)
 
 
 def estimate_huang_rhys(band: SpectralBand, zpl_window):
@@ -383,13 +387,15 @@ def iterative_deconvolve(band: SpectralBand, s, i0: ZplShape,
                          cutoff_mev=None, n_max=None):
     """Refine a one-phonon estimate by iterative series subtraction.
 
-    Each pass sums the multi-phonon remainder of the current iterate as one
-    Fourier-domain Poisson series (see synthesize_band) and subtracts it,
+    Each pass subtracts the multi-phonon remainder of the current iterate,
     with the zero-phonon term, from the measured band:
 
         I1_new = exp(S) I - I0 - sum_{n>=2} S^n/n! I0 (x) In,
 
     then clips the result to [0, cutoff], drops negatives and renormalizes.
+    One Fourier-domain Poisson series (see synthesize_band) is evaluated per
+    iterate: the series of a pass's update gives that pass's resynthesis
+    and, less its n<=1 terms, the remainder the next pass subtracts.
     Iteration stops when the L2 change of the iterate falls below tol, and
     aborts with DivergenceError (carrying the best iterate) if the
     resynthesis residual grows three passes in a row. Returns the final
@@ -416,29 +422,32 @@ def iterative_deconvolve(band: SpectralBand, s, i0: ZplShape,
         raise InvalidParameterError("initial estimate has no weight")
     current /= norm
 
+    size, n_fft = _series_support(n_max, n_keep, i0_band, d)
+    f0 = np.fft.rfft(i0_band.values, n_fft)
+    lo = min(band.start_index, i0_start)
+    width = max(band.start_index + band.values.size, i0_start + size) - lo
+    measured = _window(band.values, band.start_index - lo, width)
+    x, series = _poisson_series(current, s, n_max, n_fft, d)
+
     trace = ConvergenceTrace(converged=False, n_iter=0)
-    best = current
-    best_resid = np.inf
-    grow_streak = 0
+    best, best_resid, grow_streak = current, np.inf, 0
     grid = d * np.arange(n_keep)
+
+    def diverged(message):
+        return DivergenceError(message, diagnostics=trace, best_iterate=OnePhononBand(
+            SpectralBand(grid, best), cutoff_mev=cutoff_mev))
+
     for it in range(1, max_iter + 1):
-        remainder = _poisson_series(current, s, n_max, i0_band, d, multiphonon=True)
+        remainder = np.fft.irfft(f0 * (series - 1.0 - x), n_fft)[:size]
         update = np.clip(lhs - _window(remainder, i0_start, n_keep), 0.0, None)
         total = update.sum() * d
         if total <= 0:
-            raise DivergenceError(
-                "iterative update lost all weight",
-                best_iterate=OnePhononBand(SpectralBand(grid, best),
-                                           cutoff_mev=cutoff_mev),
-                diagnostics=trace,
-            )
+            raise diverged("iterative update lost all weight")
         update /= total
 
-        resynth = np.exp(-s) * _poisson_series(update, s, n_max, i0_band, d)
-        lo = min(band.start_index, i0_start)
-        width = max(band.start_index + band.values.size, i0_start + resynth.size) - lo
-        resid = _l2(_window(band.values, band.start_index - lo, width)
-                    - _window(resynth, i0_start - lo, width), d)
+        x, series = _poisson_series(update, s, n_max, n_fft, d)
+        resynth = np.exp(-s) * np.fft.irfft(f0 * series, n_fft)[:size]
+        resid = _l2(measured - _window(resynth, i0_start - lo, width), d)
 
         step = _l2(update - current, d)
         trace.n_iter = it
@@ -452,18 +461,12 @@ def iterative_deconvolve(band: SpectralBand, s, i0: ZplShape,
             # material growth only; jitter around the noise floor is normal
             grow_streak += 1
             if grow_streak >= 3:
-                raise DivergenceError(
-                    "resynthesis residual grew for three consecutive passes",
-                    best_iterate=OnePhononBand(SpectralBand(grid, best),
-                                               cutoff_mev=cutoff_mev),
-                    diagnostics=trace,
-                )
+                raise diverged("resynthesis residual grew for three consecutive passes")
         if step < tol:
             trace.converged = True
             break
-    result = OnePhononBand(SpectralBand(grid, current), cutoff_mev=cutoff_mev,
-                           huang_rhys=s)
-    return result, trace
+    return OnePhononBand(SpectralBand(grid, current), cutoff_mev=cutoff_mev,
+                         huang_rhys=s), trace
 
 
 def bandshape_from_emission(emission: SpectralBand, omega0_mev,
@@ -540,15 +543,10 @@ def critical_point_report(i1, dos: SpectralBand, prominence_frac=0.05,
             nearest = float(dos_peaks[np.argmin(np.abs(dos_peaks - energy))])
         else:
             nearest = float("nan")
-        peaks.append(
-            PeakMatch(
-                energy_mev=energy,
-                height=float(vals[i]),
-                prominence=float(props["prominences"][j]),
-                nearest_dos_peak_mev=nearest,
-                distance_mev=abs(energy - nearest) if dos_peaks.size else float("nan"),
-            )
-        )
+        peaks.append(PeakMatch(
+            energy_mev=energy, height=float(vals[i]),
+            prominence=float(props["prominences"][j]),
+            nearest_dos_peak_mev=nearest, distance_mev=abs(energy - nearest)))
     above = band.grid > cutoff_mev
     total = band.integral()
     frac = float(vals[above].sum() * band.spacing) / total if np.any(above) else 0.0

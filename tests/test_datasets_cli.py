@@ -142,13 +142,6 @@ class TestIngest:
         with pytest.raises(SchemaError, match="sidecar must be a JSON object"):
             ingest(DatasetDescriptor(path=str(p), kind="g2_histogram"))
 
-    def test_rates_json(self, tmp_path):
-        p = tmp_path / "rates.json"
-        p.write_text(json.dumps({"k_ex": 1e6, "k_f": 1e8, "k_isc": 1e6,
-                                 "k0": 4.7e5, "km": 2.3e6, "kp": 4e6}))
-        r = ingest(DatasetDescriptor(path=str(p), kind="rates_json"))
-        assert r.k_f == 1e8
-
     def test_unknown_kind(self):
         with pytest.raises(SchemaError):
             DatasetDescriptor(path="x", kind="mystery")
@@ -381,6 +374,58 @@ class TestCliUsageErrors:
         assert main(["odmr-fit", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 2
         assert "5: file does not exist" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("pipeline, broken, content", [
+        ("odmr-fit", "data", None),
+        ("odmr-fit", "data", b"\xff\xfe\x81 1 2\n"),
+        ("g2-fit", "sidecar", None),
+        ("g2-fit", "sidecar", b"\xff\xfe\x81"),
+    ], ids=["data-directory", "data-binary", "sidecar-directory", "sidecar-binary"])
+    def test_unreadable_input_exits_2(self, tmp_path, capsys, pipeline, broken,
+                                      content):
+        # a directory (content None) or non-UTF-8 bytes where a text file belongs
+        data = tmp_path / "data.txt"
+        write_table(data, [np.arange(64.0), np.full(64, 7.0)], ["tau_ns", "counts"])
+        sidecar = Path(str(data) + ".json")
+        sidecar.write_text(json.dumps(
+            {"n1": 1e5, "n2": 1e5, "bin_width_ns": 1.0, "accumulation_time_s": 10.0}))
+        target = data if broken == "data" else sidecar
+        target.unlink()
+        if content is None:
+            target.mkdir()
+        else:
+            target.write_bytes(content)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"data": str(data), "magnitude_G": 120.0,
+                                   "init": {"D": 1130.0, "E": 140.0}}))
+        assert main([pipeline, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert f"{target}: cannot read" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("constraints", [
+        {"dipole_axes": 5},
+        {"spin_axes": ["z", 1]},
+        {"dipole_axes": "zy"},
+    ], ids=["number", "non-string-label", "string"])
+    def test_bad_classify_constraints_exit_2(self, tmp_path, capsys, constraints):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"group": "C2v", "constraints": constraints}))
+        assert main(["defect-classify", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "_axes': invalid value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra, message", [
+        ({"spacing_mev": 0}, "grid spacing must be positive"),
+        ({"zpl": {"kind": "gaussian", "sigma_mev": 0}}, "ZPL width must be positive"),
+    ], ids=["zero-spacing", "zero-width-zpl"])
+    def test_zero_width_psb_synth_exits_2(self, tmp_path, capsys, extra, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(
+            {"S": 2.0, "i1": {"gaussians": [{"center_mev": 60, "sigma_mev": 10}]}},
+            **extra)))
+        out = tmp_path / "o"
+        assert main(["psb-synth", "--config", str(cfg), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "synth.json").exists()
 
 
 class TestCliImport:

@@ -344,10 +344,12 @@ class TestIterativeDeconvolve:
         assert best is not None
         assert l2_error(best.values, i1.values, i1.band.spacing) < 0.02
 
-    def test_one_pass_matches_hand_built_update(self):
-        # max_iter=1 performs exactly one series-subtraction update,
+    @pytest.mark.parametrize("max_iter", [1, 3])
+    def test_one_pass_matches_hand_built_update(self, max_iter):
+        # each pass performs one series-subtraction update,
         # I1_new = exp(S) I - I0 - sum_{n>=2} S^n/n! I0 (x) In on [0, cutoff],
-        # clipped and renormalized; here it is built from direct sums
+        # clipped and renormalized; here every pass is built from direct sums
+        # and a tiny tol keeps all max_iter passes running
         rng = np.random.default_rng(16)
         i1 = gaussian_mixture_i1(rng, n=240)
         d, s = i1.band.spacing, 2.0
@@ -355,22 +357,33 @@ class TestIterativeDeconvolve:
         band = synthesize_band(i1, s, zpl)
         init = smooth_and_taper(i1.band, smooth_bins=9, taper_fraction=0.05)
         n_max, n_keep = poisson_n_max(s), init.values.size
-        out, trace = iterative_deconvolve(band, s, zpl, init, max_iter=1)
 
-        remainder = direct_series(init, s, zpl, n_max, first=2)
-        update = np.clip(np.exp(s) * on_window(band, n_keep)
-                         - on_window(zpl.band, n_keep)
-                         - on_window(remainder, n_keep), 0.0, None)
-        update /= update.sum() * d
-        assert trace.n_iter == 1
-        assert np.allclose(out.grid, init.grid, rtol=0.0, atol=1e-9)
-        assert np.max(np.abs(out.values - update)) <= 1e-12
+        iterates, steps, resids = [], [], []
+        current = init.values
+        for _ in range(max_iter):
+            remainder = direct_series(OnePhononBand(SpectralBand(init.grid, current)),
+                                      s, zpl, n_max, first=2)
+            update = np.clip(np.exp(s) * on_window(band, n_keep)
+                             - on_window(zpl.band, n_keep)
+                             - on_window(remainder, n_keep), 0.0, None)
+            update /= update.sum() * d
+            resynth = np.exp(-s) * direct_series(
+                OnePhononBand(SpectralBand(init.grid, update)), s, zpl, n_max).values
+            assert resynth.size >= band.values.size  # both start at the ZPL origin
+            diff = resynth - np.pad(band.values, (0, resynth.size - band.values.size))
+            resids.append(np.sqrt(np.sum(diff**2) * d))
+            steps.append(np.sqrt(np.sum((update - current) ** 2) * d))
+            iterates.append(update)
+            current = update
 
-        resynth = np.exp(-s) * direct_series(
-            OnePhononBand(SpectralBand(init.grid, update)), s, zpl, n_max).values
-        assert resynth.size >= band.values.size  # both start at the ZPL origin
-        diff = resynth - np.pad(band.values, (0, resynth.size - band.values.size))
-        assert abs(trace.resync_l2[0] - np.sqrt(np.sum(diff**2) * d)) <= 1e-12
+        for k in range(1, max_iter + 1):
+            out, trace = iterative_deconvolve(band, s, zpl, init, max_iter=k,
+                                              tol=1e-300)
+            assert trace.n_iter == k and not trace.converged
+            assert np.allclose(out.grid, init.grid, rtol=0.0, atol=1e-9)
+            assert np.max(np.abs(out.values - iterates[k - 1])) <= 1e-12
+            assert np.max(np.abs(np.subtract(trace.resync_l2, resids[:k]))) <= 1e-12
+            assert np.max(np.abs(np.subtract(trace.step_l2, steps[:k]))) <= 1e-12
 
     def test_noisy_band_reaches_residual_plateau(self):
         rng = np.random.default_rng(10)
@@ -507,6 +520,18 @@ class TestCriticalPointReport:
         report = critical_point_report(band, dos, cutoff_mev=OMEGA)
         assert report.local_mode_flag
         assert report.above_cutoff_fraction > 0.01
+
+
+class TestZeroWidthRefused:
+    @pytest.mark.parametrize("spacing", [0.0, -0.25])
+    def test_make_grid_spacing(self, spacing):
+        with pytest.raises(InvalidParameterError, match="spacing must be positive"):
+            make_grid(0.0, OMEGA, spacing)
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0])
+    def test_gaussian_zpl_width(self, sigma):
+        with pytest.raises(InvalidParameterError, match="width must be positive"):
+            ZplShape.gaussian(0.25, sigma)
 
 
 class TestPoissonHelpers:
