@@ -394,21 +394,10 @@ def run_defect_classify(config, outdir, inputs):
         str(n): [asdict(s) for s in defect_model.structure_shortlist(n)]
         for n in counts
     }
-
-    def rec_payload(rec):
-        return {
-            "homo": rec.homo,
-            "lumo": rec.lumo,
-            "excited_irrep": rec.excited_irrep,
-            "dipole_axis": rec.dipole_axis,
-            "dipole_allowed": rec.dipole_allowed,
-            "spin_major_axis": rec.spin_major_axis,
-        }
-
     write_json(outdir / "classification.json", {
         "group": group.name,
-        "pairs": [rec_payload(r) for r in records],
-        "consistent_pairs": [rec_payload(r) for r in selected],
+        "pairs": [asdict(r) for r in records],
+        "consistent_pairs": [asdict(r) for r in selected],
         "structures": structures,
     })
     lines = [

@@ -8,12 +8,16 @@ vacancy, combined into symmetrized molecular orbitals
 Coordinates follow the spin physics: z is the major spin axis (a <110>
 direction), the xz plane is the defect's reflection plane containing c1 and
 c2, and c3, c4 sit out of plane, mirror images through xz. In this frame the
-twofold axis of a C2v defect runs along x, so the irreducible representations
-are classified by the characters under {C2(x), sigma(xz), sigma(xy)}:
-A1(+,+,+), A2(+,-,-), B1(-,+,-), B2(-,-,+). The dipole components then
-transform as x ~ A1, z ~ B1, y ~ B2, which reproduces the one-line selection
-rules used throughout. Lowering to C1h keeps only sigma(xz): even orbitals
-and operators become A', odd become A''.
+twofold axis of a C2v defect runs along x.
+
+Symmetry has one representation: characters under the C2v operations
+(C2(x), sigma(xz), sigma(xy)). An MO's come from the operations' permutation
+action on c1..c4, a pair's are the product of its MOs', and the dipole
+components carry x (+,+,+), y (-,-,+), z (-,+,-). A point group names an
+irrep by the characters of the operations it keeps, so descent from C2v
+(A1 +++, A2 +--, B1 -+-, B2 --+) to C1h (sigma(xz) only: A' +, A'' -) is
+restriction, and A1 -> excited is dipole allowed along the components whose
+restricted characters match: in C2v x ~ A1, z ~ B1, y ~ B2.
 
 One labeling wrinkle: a1' = c3 + c4 is conventionally listed under A2, but
 its characters are (+,+,+), i.e. a second A1 (which is also what the
@@ -29,37 +33,38 @@ import numpy as np
 from .constants import SPIN_SPIN_PREFACTOR_MHZ_NM3
 from .errors import InvalidParameterError, SingularGeometryError
 
-_C2V_IRREPS = ("A1", "A2", "B1", "B2")
-_C1H_IRREPS = ("A'", "A''")
-# character rows (C2(x), sigma(xz), sigma(xy))
-_C2V_CHARS = {
+
+@dataclass(frozen=True)
+class PointGroup:
+    """Point group of the defect: C2v or its mirror-only subgroup C1h.
+
+    operations indexes the C2v operations the group keeps; characters maps
+    each irrep label to its characters under them.
+    """
+
+    name: str
+    operations: tuple
+    characters: dict
+
+    def label(self, chars):
+        """Irrep of the C2v characters chars restricted to this group."""
+        kept = tuple(chars[i] for i in self.operations)
+        for name, irrep_chars in self.characters.items():
+            if irrep_chars == kept:
+                return name
+        raise InvalidParameterError(f"characters {kept} match no {self.name} irrep")
+
+
+C2V = PointGroup("C2v", (0, 1, 2), {
     "A1": (1, 1, 1),
     "A2": (1, -1, -1),
     "B1": (-1, 1, -1),
     "B2": (-1, -1, 1),
-}
-_DESCENT_TO_C1H = {"A1": "A'", "B1": "A'", "A2": "A''", "B2": "A''"}
-# dipole operator components by irrep in the defect frame (C2 along x)
-_COMPONENT_IRREP = {"x": "A1", "y": "B2", "z": "B1"}
+})
+C1H = PointGroup("C1h", (1,), {"A'": (1,), "A''": (-1,)})
 
-
-@dataclass(frozen=True)
-class PointGroup:
-    """Point group of the defect: C2v or its mirror-only subgroup C1h."""
-
-    name: str
-    irreps: tuple
-
-    def __post_init__(self):
-        expected = {"C2v": _C2V_IRREPS, "C1h": _C1H_IRREPS}.get(self.name)
-        if expected is None:
-            raise InvalidParameterError("point group must be C2v or C1h")
-        if tuple(self.irreps) != expected:
-            raise InvalidParameterError(f"irrep set does not match {self.name}")
-
-
-C2V = PointGroup("C2v", _C2V_IRREPS)
-C1H = PointGroup("C1h", _C1H_IRREPS)
+# dipole operator components in the defect frame (C2 along x)
+_DIPOLE_CHARS = {"x": (1, 1, 1), "y": (-1, -1, 1), "z": (-1, 1, -1)}
 
 
 def point_group(name) -> PointGroup:
@@ -68,14 +73,6 @@ def point_group(name) -> PointGroup:
     if name == "C1h":
         return C1H
     raise InvalidParameterError("point group must be C2v or C1h")
-
-
-def _product_irrep(g1, g2):
-    c = tuple(a * b for a, b in zip(_C2V_CHARS[g1], _C2V_CHARS[g2]))
-    for name, chars in _C2V_CHARS.items():
-        if chars == c:
-            return name
-    raise InvalidParameterError("character product is not an irrep")
 
 
 @dataclass(frozen=True)
@@ -94,37 +91,31 @@ class MolecularOrbital:
     irrep: str
 
 
-# permutation action on (c1, c2, c3, c4) index arrays
-_OPS = {
-    "C2x": (1, 0, 3, 2),
-    "sxz": (0, 1, 3, 2),
-    "sxy": (1, 0, 2, 3),
-}
+# permutation action of (C2(x), sigma(xz), sigma(xy)) on (c1, c2, c3, c4)
+_OPS = ((1, 0, 3, 2), (0, 1, 3, 2), (1, 0, 2, 3))
 
 
-def _character_irrep(coeffs):
+def _characters(coeffs):
     coeffs = np.asarray(coeffs)
     chars = []
-    for op in ("C2x", "sxz", "sxy"):
-        permuted = coeffs[list(_OPS[op])]
+    for perm in _OPS:
+        permuted = coeffs[list(perm)]
         if np.array_equal(permuted, coeffs):
             chars.append(1)
         elif np.array_equal(permuted, -coeffs):
             chars.append(-1)
         else:
             raise InvalidParameterError("orbital is not symmetry adapted")
-    for name, c in _C2V_CHARS.items():
-        if c == tuple(chars):
-            return name
-    raise InvalidParameterError("characters match no C2v irrep")
+    return tuple(chars)
 
 
-_MO_TABLE = [
-    ("a1", (1, 1, 0, 0), "A1"),
-    ("a1'", (0, 0, 1, 1), "A2"),  # listed label; characters give A1
-    ("b1", (1, -1, 0, 0), "B1"),
-    ("b2", (0, 0, 1, -1), "B2"),
-]
+# label: (coefficients, listed irrep)
+_MO_TABLE = {
+    "a1": ((1, 1, 0, 0), "A1"),
+    "a1'": ((0, 0, 1, 1), "A2"),  # listed label; characters give A1
+    "b1": ((1, -1, 0, 0), "B1"),
+    "b2": ((0, 0, 1, -1), "B2"),
+}
 
 
 def mo_basis(group: PointGroup):
@@ -133,16 +124,15 @@ def mo_basis(group: PointGroup):
     For C1h both the listed and character labels are descended through
     A1,B1 -> A' and A2,B2 -> A''.
     """
-    out = {}
-    for label, coeffs, listed in _MO_TABLE:
-        derived = _character_irrep(coeffs)
-        if group.name == "C1h":
-            listed = _DESCENT_TO_C1H[listed]
-            derived = _DESCENT_TO_C1H[derived]
-        out[label] = MolecularOrbital(
-            label=label, coefficients=coeffs, listed_irrep=listed, irrep=derived
+    return {
+        label: MolecularOrbital(
+            label=label,
+            coefficients=coeffs,
+            listed_irrep=group.label(C2V.characters[listed]),
+            irrep=group.label(_characters(coeffs)),
         )
-    return out
+        for label, (coeffs, listed) in _MO_TABLE.items()
+    }
 
 
 def dipole_selection(excited_irrep, group: PointGroup):
@@ -152,20 +142,12 @@ def dipole_selection(excited_irrep, group: PointGroup):
     allowed components as a tuple drawn from ('x', 'y', 'z'); empty means
     the transition is dipole forbidden.
     """
-    if group.name == "C2v":
-        if excited_irrep not in _C2V_IRREPS:
-            raise InvalidParameterError(f"{excited_irrep} is not a C2v irrep")
-        return tuple(
-            comp for comp, irr in _COMPONENT_IRREP.items() if irr == excited_irrep
-        )
-    label = _DESCENT_TO_C1H.get(excited_irrep, excited_irrep)
-    if label not in _C1H_IRREPS:
-        raise InvalidParameterError(f"{excited_irrep} is not a C1h irrep")
-    return tuple(
-        comp
-        for comp, irr in _COMPONENT_IRREP.items()
-        if _DESCENT_TO_C1H[irr] == label
-    )
+    if excited_irrep in C2V.characters:
+        excited_irrep = group.label(C2V.characters[excited_irrep])
+    if excited_irrep not in group.characters:
+        raise InvalidParameterError(f"{excited_irrep} is not a {group.name} irrep")
+    return tuple(comp for comp, chars in _DIPOLE_CHARS.items()
+                 if group.label(chars) == excited_irrep)
 
 
 @dataclass(frozen=True)
@@ -256,12 +238,14 @@ class DipoleEstimate:
     forbidden: bool = False
 
 
-def _pair_orbitals(homo_label, lumo_label, group):
-    basis = mo_basis(group)
+def _pair(homo_label, lumo_label):
+    """Coefficients of two MOs and the characters of their product state."""
     try:
-        return basis[homo_label], basis[lumo_label]
+        ca, cb = (np.asarray(_MO_TABLE[label][0], dtype=float)
+                  for label in (homo_label, lumo_label))
     except KeyError as err:
         raise InvalidParameterError(f"unknown MO label {err}") from None
+    return ca, cb, tuple(a * b for a, b in zip(_characters(ca), _characters(cb)))
 
 
 def dipole_estimate(homo, lumo, geom: VacancyGeometry,
@@ -275,26 +259,17 @@ def dipole_estimate(homo, lumo, geom: VacancyGeometry,
     fixed by symmetry). Symmetry-forbidden pairs return the zero vector
     flagged forbidden.
     """
-    a, b = _pair_orbitals(homo, lumo, group)
-    excited = _product_irrep(
-        _character_irrep(a.coefficients), _character_irrep(b.coefficients)
-    )
-    allowed = dipole_selection(excited, group)
-    ca = np.asarray(a.coefficients, dtype=float)
-    cb = np.asarray(b.coefficients, dtype=float)
-    if not allowed:
+    ca, cb, excited = _pair(homo, lumo)
+    if not dipole_selection(group.label(excited), group):
         return DipoleEstimate(np.zeros(3), 0.0, order="zero", forbidden=True)
-    d = np.zeros(3)
-    for i in range(4):
-        d += ca[i] * cb[i] * geom.mean_positions[i]
+    d = (ca * cb) @ geom.mean_positions
     order = "onsite"
     if np.linalg.norm(d) < 1e-12:
         order = "overlap"
-        for i in range(4):
-            for j in range(4):
-                if i != j and ca[i] * cb[j] != 0.0:
-                    mid = 0.5 * (geom.mean_positions[i] + geom.mean_positions[j])
-                    d += ca[i] * cb[j] * mid
+        # sum over i != j of ca[i] cb[j] (m_i + m_j) / 2
+        w = np.outer(ca, cb)
+        np.fill_diagonal(w, 0.0)
+        d = d + 0.5 * (w.sum(axis=1) + w.sum(axis=0)) @ geom.mean_positions
     mag = float(np.linalg.norm(d))
     if mag < 1e-12:
         return DipoleEstimate(np.zeros(3), 0.0, order="zero")
@@ -310,8 +285,6 @@ class SpinSpinTensor:
     """
 
     matrix: np.ndarray
-    homo: str = ""
-    lumo: str = ""
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -348,9 +321,7 @@ def spinspin_tensor(homo, lumo, geom: VacancyGeometry,
     """
     if covariance_mode not in ("leading", "paired"):
         raise InvalidParameterError('covariance_mode must be "leading" or "paired"')
-    a, b = _pair_orbitals(homo, lumo, C2V)
-    ca = np.asarray(a.coefficients, dtype=float)
-    cb = np.asarray(b.coefficients, dtype=float)
+    ca, cb, _ = _pair(homo, lumo)
     out = np.zeros((3, 3))
     for i in range(4):
         for j in range(4):
@@ -372,7 +343,7 @@ def spinspin_tensor(homo, lumo, geom: VacancyGeometry,
     out *= _DETERMINANT_WEIGHT
     out = 0.5 * (out + out.T)
     out -= np.trace(out) / 3.0 * np.eye(3)
-    return SpinSpinTensor(matrix=out, homo=homo, lumo=lumo)
+    return SpinSpinTensor(matrix=out)
 
 
 @dataclass(frozen=True)
@@ -433,14 +404,8 @@ def tilt_angle(a, b):
     return first, float(exact)
 
 
-_AXIS_VECTORS = {"x": np.array([1.0, 0, 0]),
-                 "y": np.array([0, 1.0, 0]),
-                 "z": np.array([0, 0, 1.0])}
-
-
 def _snap_axis(v):
-    dots = {k: abs(float(v @ u)) for k, u in _AXIS_VECTORS.items()}
-    return max(dots, key=dots.get)
+    return "xyz"[int(np.argmax(np.abs(v)))]
 
 
 @dataclass(frozen=True)
@@ -449,13 +414,10 @@ class MoPair:
 
     homo: str
     lumo: str
-    group: PointGroup
     excited_irrep: str
     dipole_axis: str  # 'x', 'y', 'z' or 'none'
+    dipole_allowed: bool
     spin_major_axis: str
-    dipole_allowed: bool = True
-    dipole_vector: np.ndarray = None
-    spin_axis_vector: np.ndarray = None
 
 
 _PAIR_ORDER = [("a1", "a1'"), ("a1", "b1"), ("a1'", "b1"),
@@ -475,35 +437,29 @@ def classify_pairs(group: PointGroup, geom: VacancyGeometry = None):
     """
     if geom is None:
         geom = VacancyGeometry.tetrahedral()
-    basis = mo_basis(C2V)
     records = []
     for homo, lumo in _PAIR_ORDER:
-        excited = _product_irrep(basis[homo].irrep, basis[lumo].irrep)
-        allowed = dipole_selection(excited, group)
-        est = dipole_estimate(homo, lumo, geom, group=C2V)
-        dipole_allowed = bool(allowed)
+        excited = _pair(homo, lumo)[2]
+        label = group.label(excited)
+        allowed = dipole_selection(label, group)
         if not allowed:
             # report the direction that becomes allowed on descent to C1h
-            fallback = dipole_selection(excited, C1H)
+            fallback = dipole_selection(C1H.label(excited), C1H)
             axis = fallback[0] if len(fallback) == 1 else "none"
         elif len(allowed) == 1:
             axis = allowed[0]
         else:
+            est = dipole_estimate(homo, lumo, geom)
             axis = _snap_axis(est.direction) if est.magnitude > 1e-12 else allowed[0]
-        tensor = spinspin_tensor(homo, lumo, geom)
-        frame = principal_axes(tensor)
-        label = excited if group.name == "C2v" else _DESCENT_TO_C1H[excited]
+        frame = principal_axes(spinspin_tensor(homo, lumo, geom))
         records.append(
             MoPair(
                 homo=homo,
                 lumo=lumo,
-                group=group,
                 excited_irrep=label,
                 dipole_axis=axis,
+                dipole_allowed=bool(allowed),
                 spin_major_axis=_snap_axis(frame.major_axis),
-                dipole_allowed=dipole_allowed,
-                dipole_vector=est.direction,
-                spin_axis_vector=frame.major_axis,
             )
         )
     return records
