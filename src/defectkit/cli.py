@@ -60,29 +60,55 @@ def _cfg(config, key, default=KeyError, kind=None):
         raise SchemaError(f"config key {key!r}: invalid value {value!r}") from None
 
 
-def _finite_number(text):
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite number {text}")
-    return value
+def _finite(value):
+    """float(value), refusing NaN and infinities also when spelled as text.
+
+    Every float the config supplies, in JSON or as a string, goes through
+    this one conversion.
+    """
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"non-finite number {value}")
+    return number
 
 
 def _read_json(path):
     """A JSON file with non-finite numbers refused; any failure is a SchemaError."""
     try:
         return json.loads(Path(path).read_text(),
-                          parse_float=_finite_number, parse_constant=_finite_number)
+                          parse_float=_finite, parse_constant=_finite)
     except (OSError, ValueError) as err:
         raise SchemaError(f"cannot read {path}: {err}") from None
 
 
 def _floats(value):
-    return np.asarray(value, dtype=float)
+    return np.array([_finite(v) for v in np.ravel(value)]).reshape(np.shape(value))
 
 
 def _float_pair(value):
-    lo, hi = map(float, value)
+    lo, hi = map(_finite, value)
     return lo, hi
+
+
+def _positive(value):
+    number = _finite(value)
+    if number <= 0:
+        raise ValueError(f"{value} is not positive")
+    return number
+
+
+def _count(value):
+    number = int(value)
+    if number < 1:
+        raise ValueError(f"{value} is not a positive count")
+    return number
+
+
+def _triads(value):
+    triads = _floats(value)
+    if triads.ndim != 3 or triads.shape[1:] != (3, 3) or len(triads) == 0:
+        raise ValueError("expected a non-empty list of 3x3 triads")
+    return list(triads)
 
 
 def _axis_labels(value):
@@ -94,9 +120,9 @@ def _axis_labels(value):
 def _zfs_from_config(config, key="init"):
     spec = _cfg(config, key, {}) if key else config
     return spin_hamiltonian.ZfsParams(
-        D=_cfg(spec, "D", kind=float),
-        E=_cfg(spec, "E", kind=float),
-        g=_cfg(spec, "g", 2.0, float),
+        D=_cfg(spec, "D", kind=_finite),
+        E=_cfg(spec, "E", kind=_finite),
+        g=_cfg(spec, "g", 2.0, _finite),
         axes=_cfg(spec, "axes", np.eye(3), _floats),
     )
 
@@ -105,8 +131,8 @@ def _angle_grid(sweep_cfg):
     spec = _cfg(sweep_cfg, "angles_deg")
     if isinstance(spec, list):
         return _cfg(sweep_cfg, "angles_deg", kind=_floats)
-    return np.linspace(_cfg(spec, "start", kind=float),
-                       _cfg(spec, "stop", kind=float), _cfg(spec, "num", kind=int))
+    return np.linspace(_cfg(spec, "start", kind=_finite),
+                       _cfg(spec, "stop", kind=_finite), _cfg(spec, "num", kind=_count))
 
 
 @_pipeline("odmr-sim")
@@ -129,10 +155,10 @@ def run_odmr_sim(config, outdir, inputs):
         elif orientations == "single":
             triads = [p.axes]
         else:
-            triads = list(_cfg(sweep_cfg, "orientations", kind=_floats))
+            triads = _cfg(sweep_cfg, "orientations", kind=_triads)
         table = spin_hamiltonian.angular_sweep(
             p,
-            magnitude=_cfg(sweep_cfg, "magnitude_G", kind=float),
+            magnitude=_cfg(sweep_cfg, "magnitude_G", kind=_finite),
             plane_normal=_cfg(sweep_cfg, "plane_normal", [0, 0, 1], _floats),
             angles_deg=angles,
             orientations=triads,
@@ -155,7 +181,7 @@ def run_odmr_fit(config, outdir, inputs):
     result = spin_hamiltonian.fit_odmr(
         observed,
         init=_zfs_from_config(config, key="init"),
-        magnitude=_cfg(config, "magnitude_G", kind=float),
+        magnitude=_cfg(config, "magnitude_G", kind=_finite),
         plane_normal=_cfg(config, "plane_normal", [0, 0, 1], _floats),
         fit_orientation=bool(config.get("fit_orientation", False)),
         fit_tilt=bool(config.get("fit_tilt", False)),
@@ -180,6 +206,7 @@ def run_odmr_fit(config, outdir, inputs):
 
 @_pipeline("g2-fit")
 def run_g2_fit(config, outdir, inputs):
+    n_exp = _cfg(config, "n_exp", 4, _count)
     data_path = _cfg(config, "data", kind=str)
     inputs.append(data_path)
     desc = DatasetDescriptor(path=data_path, kind="g2_histogram",
@@ -187,12 +214,12 @@ def run_g2_fit(config, outdir, inputs):
     if desc.sidecar_path().exists():
         inputs.append(str(desc.sidecar_path()))
     hist, rho = ingest(desc)
-    rho = _cfg(config, "rho", rho, float)
+    rho = _cfg(config, "rho", rho, _finite)
     curve = g2_processing.background_correct(g2_processing.normalize(hist), rho)
     result = g2_processing.fit_g2(
         hist.bin_centers,
         curve,
-        n_exp=_cfg(config, "n_exp", 4, int),
+        n_exp=n_exp,
         counts=hist.counts,
         rho=rho,
     )
@@ -219,12 +246,12 @@ def run_rates_extract(config, outdir, inputs):
     fit = g2_processing.G2Fit(
         alphas=_cfg(payload, "alphas", kind=_floats),
         taus=_cfg(payload, "taus_ns", kind=_floats),
-        rho=_cfg(payload, "rho", 1.0, float),
+        rho=_cfg(payload, "rho", 1.0, _finite),
     )
     rates = photodynamics.extract_rates(
         fit,
-        detected=_cfg(config, "detected_rate", kind=float),
-        eta=_cfg(config, "eta", kind=float),
+        detected=_cfg(config, "detected_rate", kind=_finite),
+        eta=_cfg(config, "eta", kind=_finite),
     )
     write_json(outdir / "rates.json", asdict(rates))
     return ["rates.json"]
@@ -236,16 +263,16 @@ def run_power_sweep(config, outdir, inputs):
     powers = _cfg(config, "powers_w", None, _floats)
     if powers is None:
         spec = _cfg(config, "powers")
-        powers = np.geomspace(_cfg(spec, "start", kind=float),
-                              _cfg(spec, "stop", kind=float),
-                              _cfg(spec, "num", kind=int))
+        powers = np.geomspace(_cfg(spec, "start", kind=_positive),
+                              _cfg(spec, "stop", kind=_positive),
+                              _cfg(spec, "num", kind=_count))
     points = photodynamics.power_sweep_model(
         base,
-        sigma_cm2=_cfg(config, "sigma_cm2", kind=float),
-        beta=_cfg(config, "beta", 0.0, float),
+        sigma_cm2=_cfg(config, "sigma_cm2", kind=_finite),
+        beta=_cfg(config, "beta", 0.0, _finite),
         powers_w=powers,
-        wavelength_nm=_cfg(config, "wavelength_nm", kind=float),
-        focal_area_cm2=_cfg(config, "focal_area_cm2", kind=float),
+        wavelength_nm=_cfg(config, "wavelength_nm", kind=_finite),
+        focal_area_cm2=_cfg(config, "focal_area_cm2", kind=_finite),
         driven=config.get("driven", "plus"),
     )
     write_table(
@@ -264,13 +291,13 @@ def _zpl_from_config(config, spacing):
     if kind == "delta":
         return psb.ZplShape.delta(spacing)
     if kind == "gaussian":
-        return psb.ZplShape.gaussian(spacing, _cfg(spec, "sigma_mev", kind=float))
+        return psb.ZplShape.gaussian(spacing, _cfg(spec, "sigma_mev", kind=_finite))
     raise SchemaError("zpl kind must be delta or gaussian")
 
 
 def _i1_from_config(config, inputs):
-    spacing = _cfg(config, "spacing_mev", 0.25, float)
-    cutoff = _cfg(config, "cutoff_mev", psb.DIAMOND_PHONON_CUTOFF_MEV, float)
+    spacing = _cfg(config, "spacing_mev", 0.25, _finite)
+    cutoff = _cfg(config, "cutoff_mev", psb.DIAMOND_PHONON_CUTOFF_MEV, _finite)
     i1_path = _cfg(config, "i1_file", None, str)
     if i1_path is not None:
         inputs.append(i1_path)
@@ -281,8 +308,9 @@ def _i1_from_config(config, inputs):
     grid = psb.make_grid(0.0, cutoff, spacing)
     vals = np.zeros_like(grid)
     for g in _cfg(spec, "gaussians", kind=list):
-        x = (grid - _cfg(g, "center_mev", kind=float)) / _cfg(g, "sigma_mev", kind=float)
-        vals += _cfg(g, "weight", 1.0, float) * np.exp(-0.5 * x**2)
+        center = _cfg(g, "center_mev", kind=_finite)
+        x = (grid - center) / _cfg(g, "sigma_mev", kind=_positive)
+        vals += _cfg(g, "weight", 1.0, _finite) * np.exp(-0.5 * x**2)
     ramp = np.clip(grid / (4 * spacing), 0, 1) * np.clip((cutoff - grid) / (4 * spacing), 0, 1)
     band = psb.SpectralBand(grid, vals * ramp).normalized()
     return psb.OnePhononBand(band, cutoff_mev=cutoff), spacing, cutoff
@@ -291,7 +319,7 @@ def _i1_from_config(config, inputs):
 @_pipeline("psb-synth")
 def run_psb_synth(config, outdir, inputs):
     i1, spacing, cutoff = _i1_from_config(config, inputs)
-    s = _cfg(config, "S", kind=float)
+    s = _cfg(config, "S", kind=_finite)
     zpl = _zpl_from_config(config, spacing)
     n_max = _cfg(config, "n_max", None, int) or psb.poisson_n_max(s)
     band = psb.synthesize_band(i1, s, zpl, n_max=n_max)
@@ -309,8 +337,8 @@ def run_psb_synth(config, outdir, inputs):
 
 @_pipeline("psb-deconvolve")
 def run_psb_deconvolve(config, outdir, inputs):
-    spacing = _cfg(config, "spacing_mev", 0.25, float)
-    cutoff = _cfg(config, "cutoff_mev", psb.DIAMOND_PHONON_CUTOFF_MEV, float)
+    spacing = _cfg(config, "spacing_mev", 0.25, _finite)
+    cutoff = _cfg(config, "cutoff_mev", psb.DIAMOND_PHONON_CUTOFF_MEV, _finite)
     spectrum_path = _cfg(config, "spectrum", None, str)
     if spectrum_path is not None:
         inputs.append(spectrum_path)
@@ -326,7 +354,7 @@ def run_psb_deconvolve(config, outdir, inputs):
         inputs.append(band_path)
         band = ingest(DatasetDescriptor(path=band_path, kind="dos_table",
                                         units={"spacing_mev": spacing})).normalized()
-    s = _cfg(config, "S", None, float)
+    s = _cfg(config, "S", None, _finite)
     if s is None:
         window = _cfg(config, "zpl_window_mev", kind=_float_pair)
         s = psb.estimate_huang_rhys(band, window)
@@ -335,12 +363,12 @@ def run_psb_deconvolve(config, outdir, inputs):
     smoothed = psb.smooth_and_taper(
         init.band, cutoff,
         smooth_bins=_cfg(config, "smooth_bins", 5, int),
-        taper_fraction=_cfg(config, "taper_fraction", 0.1, float),
+        taper_fraction=_cfg(config, "taper_fraction", 0.1, _finite),
     )
     i1, trace = psb.iterative_deconvolve(
         band, s, zpl, smoothed,
         max_iter=_cfg(config, "max_iter", 50, int),
-        tol=_cfg(config, "tol", 1e-6, float),
+        tol=_cfg(config, "tol", 1e-6, _finite),
     )
     write_table(outdir / "one_phonon_band.txt", [i1.grid, i1.values],
                 ["energy_meV", "density"])
@@ -373,8 +401,8 @@ def run_psb_deconvolve(config, outdir, inputs):
 def run_defect_classify(config, outdir, inputs):
     group = defect_model.point_group(config.get("group", "C2v"))
     geo_cfg = _cfg(config, "geometry", {})
-    delta = _cfg(geo_cfg, "delta", 0.0, float)
-    theta = _cfg(geo_cfg, "theta_deg", None, float)
+    delta = _cfg(geo_cfg, "delta", 0.0, _finite)
+    theta = _cfg(geo_cfg, "theta_deg", None, _finite)
     if theta is not None:
         geom = defect_model.VacancyGeometry.with_polar_angle(theta, delta=delta)
     else:

@@ -267,13 +267,12 @@ def g2_numeric(r: RateParams, tau_s) -> np.ndarray:
     return res.reshape(tau.shape)
 
 
-def extract_rates(fit, detected, eta, tau_unit_ns=True) -> RateParams:
+def extract_rates(fit, detected, eta) -> RateParams:
     """Invert fitted g2 parameters into the six physical rates.
 
     fit supplies four amplitude/time-constant pairs (alpha_i, tau_i) of
-    g2 = 1 - sum alpha_i exp(-t/tau_i); detected is the measured photon rate
-    in counts/s and eta the collection efficiency. tau_i are in ns unless
-    tau_unit_ns is False (then seconds).
+    g2 = 1 - sum alpha_i exp(-t/tau_i), tau_i in ns; detected is the measured
+    photon rate in counts/s and eta the collection efficiency.
 
     The decay constants lambda_i = 1/tau_i give the quartic coefficients
     through Vieta's relations; the triplet depopulation rates come from the
@@ -298,7 +297,9 @@ def extract_rates(fit, detected, eta, tau_unit_ns=True) -> RateParams:
         raise InvalidFitError("fitted time constants must be positive")
     if detected <= 0:
         raise InvalidParameterError("detected rate must be positive")
-    lam = (1e9 if tau_unit_ns else 1.0) / taus
+    if not 0.0 < eta <= 1.0:
+        raise InvalidParameterError("eta must be in (0, 1]")
+    lam = 1e9 / taus
 
     b_v = lam.sum()
     c_v = sum(lam[i] * lam[j] for i in range(4) for j in range(i + 1, 4))
@@ -352,6 +353,10 @@ class CrossSectionFit:
 
 def kex_from_power(power_w, sigma_cm2, wavelength_nm, focal_area_cm2):
     """Pump rate k_ex = sigma * I / E_photon for focal irradiance I = P/A."""
+    if focal_area_cm2 <= 0:
+        raise InvalidParameterError("focal_area_cm2 must be positive")
+    if wavelength_nm <= 0:
+        raise InvalidParameterError("wavelength_nm must be positive")
     irr = np.asarray(power_w, dtype=float) / focal_area_cm2
     return sigma_cm2 * irr / photon_energy_J(wavelength_nm)
 
@@ -484,8 +489,11 @@ def power_sweep_model(base: RateParams, sigma_cm2, beta, powers_w, wavelength_nm
     the ESA channel beta feeds T0. With beta > 0 the fluorescence rises,
     peaks and falls while the contrast keeps growing.
     """
+    powers = np.asarray(powers_w, dtype=float)
+    if powers.ndim != 1:
+        raise InvalidParameterError("powers_w must be a list of powers")
     out = []
-    for p in np.asarray(powers_w, dtype=float):
+    for p in powers:
         k_ex = float(kex_from_power(p, sigma_cm2, wavelength_nm, focal_area_cm2))
         r = replace(base, k_ex=k_ex, beta=beta)
         out.append(

@@ -64,10 +64,9 @@ class FieldVec:
 
 @dataclass(frozen=True)
 class OdmrLineSet:
-    """Three spin-transition frequencies (MHz, ascending) with level pairs."""
+    """Three spin-transition frequencies in MHz, ascending."""
 
     frequencies: np.ndarray
-    assignments: tuple
 
     def __post_init__(self):
         f = np.asarray(self.frequencies, dtype=float).reshape(3)
@@ -82,28 +81,13 @@ def build_hamiltonian(p: ZfsParams, b: FieldVec) -> np.ndarray:
 
 
 def zero_field_lines(p: ZfsParams) -> OdmrLineSet:
-    """Zero-field ODMR line pattern {2E, D-E, D+E} sorted ascending.
-
-    Level pairs are indices into the ascending eigenvalue order of the
-    zero-field Hamiltonian.
-    """
-    lines = [(2.0 * p.E, (1, 2)), (p.D - p.E, (0, 1)), (p.D + p.E, (0, 2))]
-    lines.sort(key=lambda t: t[0])
-    return OdmrLineSet(
-        frequencies=np.array([l[0] for l in lines]),
-        assignments=tuple(l[1] for l in lines),
-    )
+    """Zero-field ODMR line pattern {2E, D-E, D+E} sorted ascending."""
+    return OdmrLineSet(np.sort([2.0 * p.E, p.D - p.E, p.D + p.E]))
 
 
 def transition_frequencies(p: ZfsParams, b: FieldVec) -> OdmrLineSet:
     """Pairwise eigenvalue differences of the spin Hamiltonian, ascending."""
-    ev = np.linalg.eigvalsh(build_hamiltonian(p, b))
-    diffs = [(ev[1] - ev[0], (0, 1)), (ev[2] - ev[1], (1, 2)), (ev[2] - ev[0], (0, 2))]
-    diffs.sort(key=lambda t: t[0])
-    return OdmrLineSet(
-        frequencies=np.array([d[0] for d in diffs]),
-        assignments=tuple(d[1] for d in diffs),
-    )
+    return OdmrLineSet(_batched_lines(p.D, p.E, p.g, p.axes, b.B[None])[0])
 
 
 def _batched_hamiltonian(D, E, g, axes, b_vectors):
@@ -144,6 +128,8 @@ def plane_basis(plane_normal):
     [100] and angles increase toward [010].
     """
     n = np.asarray(plane_normal, dtype=float)
+    if n.shape != (3,) or not np.linalg.norm(n) > 0:
+        raise InvalidParameterError("plane_normal must be a nonzero 3-vector")
     n = n / np.linalg.norm(n)
     ref = np.array([1.0, 0.0, 0.0])
     if abs(n @ ref) > 0.9:

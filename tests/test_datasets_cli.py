@@ -288,6 +288,11 @@ class TestCliOdmrFit:
         assert resid.shape == (len(rows), 3)
 
 
+POWER_SWEEP = ('{"rates": {"k_ex": 1e6, "k_f": 1e8, "k_isc": 5e7, "k0": 4.7e5, '
+               '"km": 2.3e6, "kp": 4e6}, "sigma_cm2": 1e-17, "wavelength_nm": 532, '
+               '"focal_area_cm2": 1e-8, %s}')
+
+
 class TestCliUsageErrors:
     def test_unknown_pipeline_exits_2(self):
         with pytest.raises(SystemExit) as err:
@@ -313,7 +318,52 @@ class TestCliUsageErrors:
         ("psb-synth", '{"S": 2, "zpl": "gaussian", '
          '"i1": {"gaussians": [{"center_mev": 60, "sigma_mev": 10}]}}',
          "must be a JSON object"),
-    ], ids=["list", "string-value", "nan-value", "string-in-array", "string-section"])
+        ("psb-synth", '{"S": "nan", '
+         '"i1": {"gaussians": [{"center_mev": 60, "sigma_mev": 10}]}}',
+         "'S': invalid value 'nan'"),
+        ("odmr-sim", '{"D": "inf", "E": 100}', "'D': invalid value 'inf'"),
+        ("odmr-sim", '{"D": 1135, "E": "1e999"}', "'E': invalid value '1e999'"),
+        ("odmr-sim", '{"D": 1135, "E": 139, "sweep": {"magnitude_G": "nan", '
+         '"angles_deg": [0, 90]}}', "'magnitude_G': invalid value 'nan'"),
+        ("odmr-sim", '{"D": 1135, "E": 139, "axes": [[1, 0, 0], [0, 1, 0], '
+         '[0, 0, "nan"]]}', "'axes': invalid value"),
+        ("odmr-sim", '{"D": 1135, "E": 139, "sweep": {"magnitude_G": 100, '
+         '"angles_deg": [0, 90], "plane_normal": [0, null, 1]}}',
+         "'plane_normal': invalid value"),
+        ("rates-extract", '{"fit": {"alphas": [1, 2, 3, "inf"], "taus_ns": [1, 2, 3, 4]}, '
+         '"detected_rate": 1e4, "eta": 0.02}', "'alphas': invalid value"),
+        ("psb-deconvolve", '{"band": "band.txt", "spacing_mev": "nan"}',
+         "'spacing_mev': invalid value 'nan'"),
+        ("odmr-sim", '{"D": 1135, "E": 139, "sweep": {"magnitude_G": 100, '
+         '"angles_deg": {"start": 0, "stop": 1, "num": -1}}}',
+         "'num': invalid value -1"),
+        ("odmr-sim", '{"D": 1135, "E": 139, "sweep": {"magnitude_G": 100, '
+         '"angles_deg": [0, 90], "orientations": 0}}', "'orientations': invalid value 0"),
+        ("odmr-sim", '{"D": 1135, "E": 139, "sweep": {"magnitude_G": 100, '
+         '"angles_deg": [0, 90], "orientations": true}}',
+         "'orientations': invalid value True"),
+        ("odmr-sim", '{"D": 1135, "E": 139, "sweep": {"magnitude_G": 100, '
+         '"angles_deg": [0, 90], "orientations": []}}', "'orientations': invalid value []"),
+        ("odmr-sim", '{"D": 1135, "E": 139, "sweep": {"magnitude_G": 100, '
+         '"angles_deg": [0, 90], "plane_normal": 0}}', "plane_normal must be a nonzero"),
+        ("g2-fit", '{"data": "hist.txt", "n_exp": 0}', "'n_exp': invalid value 0"),
+        ("g2-fit", '{"data": "hist.txt", "n_exp": -1}', "'n_exp': invalid value -1"),
+        ("rates-extract", '{"fit": {"alphas": [1, 2, 3, 4], "taus_ns": [1, 2, 3, 4]}, '
+         '"detected_rate": 1e4, "eta": 0}', "eta must be in (0, 1]"),
+        ("power-sweep", POWER_SWEEP % '"powers_w": 1e-3', "powers_w must be a list"),
+        ("power-sweep", POWER_SWEEP % '"powers_w": [1e-3], "wavelength_nm": 0',
+         "wavelength_nm must be positive"),
+        ("power-sweep", POWER_SWEEP % '"powers_w": [1e-3], "focal_area_cm2": 0',
+         "focal_area_cm2 must be positive"),
+        ("power-sweep", POWER_SWEEP % '"powers": {"start": 0, "stop": 1e-3, "num": 3}',
+         "'start': invalid value 0"),
+    ], ids=["list", "string-value", "nan-value", "string-in-array", "string-section",
+            "nan-string", "inf-string", "overflow-string", "nan-string-in-section",
+            "nan-string-in-triad", "null-in-vector", "inf-string-in-array",
+            "nan-string-deconvolve", "negative-angle-count", "zero-orientations",
+            "true-orientations", "empty-orientations", "scalar-plane-normal",
+            "zero-exponentials", "negative-exponentials", "zero-eta",
+            "scalar-powers", "zero-wavelength", "zero-focal-area", "zero-power-start"])
     def test_bad_config_exits_2(self, tmp_path, capsys, pipeline, text, message):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(text)
@@ -416,7 +466,9 @@ class TestCliUsageErrors:
     @pytest.mark.parametrize("extra, message", [
         ({"spacing_mev": 0}, "grid spacing must be positive"),
         ({"zpl": {"kind": "gaussian", "sigma_mev": 0}}, "ZPL width must be positive"),
-    ], ids=["zero-spacing", "zero-width-zpl"])
+        ({"i1": {"gaussians": [{"center_mev": 60, "sigma_mev": 0}]}},
+         "'sigma_mev': invalid value 0"),
+    ], ids=["zero-spacing", "zero-width-zpl", "zero-width-one-phonon"])
     def test_zero_width_psb_synth_exits_2(self, tmp_path, capsys, extra, message):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(dict(
