@@ -451,7 +451,8 @@ def classify_pairs(group: PointGroup, geom: VacancyGeometry = None):
         else:
             est = dipole_estimate(homo, lumo, geom)
             axis = _snap_axis(est.direction) if est.magnitude > 1e-12 else allowed[0]
-        frame = principal_axes(spinspin_tensor(homo, lumo, geom))
+        tensor = spinspin_tensor(homo, lumo, geom)
+        frame = principal_axes(tensor)
         records.append(
             MoPair(
                 homo=homo,
