@@ -97,6 +97,13 @@ def _positive(value):
     return number
 
 
+def _switch(value):
+    """A JSON true or false; no other value switches anything."""
+    if not isinstance(value, bool):
+        raise TypeError(f"{value!r} is not true or false")
+    return value
+
+
 def _count(value):
     number = int(value)
     if number < 1:
@@ -176,16 +183,16 @@ def run_odmr_sim(config, outdir, inputs):
 @_pipeline("odmr-fit")
 def run_odmr_fit(config, outdir, inputs):
     data_path = _cfg(config, "data", kind=str)
-    inputs.append(data_path)
-    observed = ingest(DatasetDescriptor(path=data_path, kind="odmr_table"))
-    result = spin_hamiltonian.fit_odmr(
-        observed,
+    options = dict(
         init=_zfs_from_config(config, key="init"),
         magnitude=_cfg(config, "magnitude_G", kind=_finite),
         plane_normal=_cfg(config, "plane_normal", [0, 0, 1], _floats),
-        fit_orientation=bool(config.get("fit_orientation", False)),
-        fit_tilt=bool(config.get("fit_tilt", False)),
+        fit_orientation=_cfg(config, "fit_orientation", False, _switch),
+        fit_tilt=_cfg(config, "fit_tilt", False, _switch),
     )
+    inputs.append(data_path)
+    observed = ingest(DatasetDescriptor(path=data_path, kind="odmr_table"))
+    result = spin_hamiltonian.fit_odmr(observed, **options)
     errs = np.sqrt(np.clip(np.diag(result.covariance), 0.0, None))
     write_json(outdir / "odmr_fit.json", {
         "D_MHz": result.params.D,
@@ -415,7 +422,7 @@ def run_defect_classify(config, outdir, inputs):
             records,
             dipole_axes=_cfg(constraints, "dipole_axes", None, _axis_labels),
             spin_axes=_cfg(constraints, "spin_axes", None, _axis_labels),
-            require_coalignment=bool(_cfg(constraints, "require_coalignment", False)),
+            require_coalignment=_cfg(constraints, "require_coalignment", False, _switch),
         )
     counts = _cfg(config, "electron_counts", [4, 6], lambda ns: [int(n) for n in ns])
     structures = {

@@ -3,18 +3,32 @@
 Input files are delimited text (whitespace or comma separated, '#' comments)
 with JSON sidecars for scalar metadata. Everything is converted to the
 toolkit's canonical units at this boundary: MHz, Gauss, ns, meV, cm^2.
+
+A table is read once and parsed on one of two paths. The fast path hands a
+whitespace-separated table of printable ASCII to numpy's C parser
+(``np.loadtxt``) and keeps its result only if it is non-empty, finite and of
+an allowed width. Everything else (commas, other characters, a table the C
+parser refuses or a result the checks reject) goes to the line-by-line
+Python parser. That parser is the only source of error messages, so every
+SchemaError names its line, and it is the reference the fast path must
+match bit for bit: the C parser accepts no number that ``float`` refuses.
+
+Tables are written with one '%.10g' format per row, and a non-finite value
+is refused before any file is written, as it is in JSON output.
 """
 import hashlib
+import io
 import json
 import logging
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .constants import HC_EV_NM
-from .errors import SchemaError
+from .errors import DefectKitError, SchemaError
 from .g2_processing import CoincidenceHistogram
 from .psb import SpectralBand, make_grid
 
@@ -57,15 +71,39 @@ def _read_text(path):
         raise SchemaError(f"{path}: cannot read: {err}") from None
 
 
+# The C parser reads only text made of these bytes: printable ASCII but the
+# comma, tab and newline (read_text has already turned CR and CRLF into LF).
+# Other control characters and Unicode spaces split lines or fields for
+# str.splitlines() and str.split() and may not for np.loadtxt.
+_LOADTXT_BYTES = bytes([9, 10] + [c for c in range(32, 127) if c != ord(",")])
+
+
 def read_table(path, min_cols, max_cols=None):
     """Parse a delimited numeric table; errors name the offending line."""
     max_cols = max_cols or min_cols
-    rows = []
     path = Path(path)
     if not path.exists():
         raise SchemaError(f"{path}: file does not exist")
+    text = _read_text(path)
+    if text.isascii() and not text.encode("ascii").translate(None, _LOADTXT_BYTES):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # "no data"
+                data = np.loadtxt(io.StringIO(text), comments="#", ndmin=2, dtype=float)
+        except ValueError:
+            pass
+        else:
+            if (data.size and min_cols <= data.shape[1] <= max_cols
+                    and np.isfinite(data).all()):
+                return data
+    return _parse_table(path, text, min_cols, max_cols)
+
+
+def _parse_table(path, text, min_cols, max_cols):
+    """The line-by-line parser: the reference result and every error message."""
+    rows = []
     width = None
-    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -206,19 +244,32 @@ def ingest(desc: DatasetDescriptor):
 
 
 def write_table(path, columns, header):
-    """Write named columns as '#'-headed delimited text (plot-ready)."""
-    arrays = [np.asarray(c, dtype=float) for c in columns]
+    """Write named columns as '#'-headed delimited text (plot-ready).
+
+    A non-finite value is an analysis failure that names the file, and
+    nothing is written.
+    """
+    table = np.column_stack([np.asarray(c, dtype=float) for c in columns])
+    if not np.isfinite(table).all():
+        raise DefectKitError(f"{path}: not written: non-finite value in the table")
+    row = "\t".join(["%.10g"] * table.shape[1])
     lines = ["# " + "\t".join(header)]
-    for row in zip(*arrays):
-        lines.append("\t".join(f"{v:.10g}" for v in row))
+    lines += [row % tuple(values) for values in table.tolist()]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def write_json(path, payload):
-    """Deterministic JSON emission (sorted keys, fixed separators)."""
-    Path(path).write_text(
-        json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n"
-    )
+    """Deterministic JSON emission (sorted keys, fixed separators).
+
+    NaN and infinities have no JSON spelling: a payload holding one is an
+    analysis failure that names the file, and nothing is written.
+    """
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default,
+                          allow_nan=False)
+    except ValueError as err:
+        raise DefectKitError(f"{path}: not written: {err}") from None
+    Path(path).write_text(text + "\n")
 
 
 def _json_default(obj):

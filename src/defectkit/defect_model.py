@@ -322,24 +322,27 @@ def spinspin_tensor(homo, lumo, geom: VacancyGeometry,
     if covariance_mode not in ("leading", "paired"):
         raise InvalidParameterError('covariance_mode must be "leading" or "paired"')
     ca, cb, _ = _pair(homo, lumo)
-    out = np.zeros((3, 3))
-    for i in range(4):
-        for j in range(4):
-            w = ca[i] ** 2 * cb[j] ** 2
-            if i == j or w == 0.0:
-                continue
-            r = geom.mean_positions[j] - geom.mean_positions[i]
-            dist = np.linalg.norm(r)
-            if dist < 1e-12:
-                raise SingularGeometryError(
-                    f"orbitals c{i+1} and c{j+1} have coincident mean positions"
-                )
-            if covariance_mode == "leading":
-                cov = geom.covariance(min(i, j))
-            else:
-                cov = geom.covariance(i) + geom.covariance(j)
-            t = np.eye(3) / dist**3 - 3.0 * (np.outer(r, r) - cov) / dist**5
-            out += w * t
+    # w[i, j] = ca[i]^2 cb[j]^2 over the cross pairs i != j
+    w = np.outer(ca**2, cb**2)
+    np.fill_diagonal(w, 0.0)
+    mean = geom.mean_positions
+    r = mean[None, :, :] - mean[:, None, :]  # r[i, j] = mean[j] - mean[i]
+    dist = np.linalg.norm(r, axis=-1)
+    pair = w != 0.0
+    coincident = pair & (dist < 1e-12)
+    if coincident.any():
+        i, j = np.argwhere(coincident)[0]
+        raise SingularGeometryError(
+            f"orbitals c{i+1} and c{j+1} have coincident mean positions"
+        )
+    cov = np.array([geom.covariance(k) for k in range(4)])
+    if covariance_mode == "leading":
+        cov = cov[np.minimum.outer(np.arange(4), np.arange(4))]
+    else:
+        cov = cov[:, None] + cov[None, :]
+    r, d, cov = r[pair], dist[pair][:, None, None], cov[pair]
+    t = np.eye(3) / d**3 - 3.0 * (r[:, :, None] * r[:, None, :] - cov) / d**5
+    out = (w[pair][:, None, None] * t).sum(axis=0)
     out *= _DETERMINANT_WEIGHT
     out = 0.5 * (out + out.T)
     out -= np.trace(out) / 3.0 * np.eye(3)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,9 +15,10 @@ from defectkit.datasets import (
     EmissionSpectrum,
     ingest,
     read_table,
+    write_json,
     write_table,
 )
-from defectkit.errors import SchemaError
+from defectkit.errors import DefectKitError, SchemaError
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -55,6 +57,104 @@ class TestReadTable:
         p.write_text(f"0 278 1\n10 {value} 1\n")
         with pytest.raises(SchemaError, match="bad.txt:2: non-finite"):
             read_table(p, 3)
+
+    @pytest.mark.parametrize("content, min_cols, max_cols", [
+        (b"# angle freq\n1 2\n3 4\n", 2, None),
+        (b"1 2 # note\n3 4#x\n#\n", 2, None),
+        (b"\n1 2\n\n3 4\n\n", 2, None),
+        (b"1 2\n   \n\t \n3 4\n", 2, None),
+        (b"1\t2\n3\t4\n", 2, None),
+        (b" 1 \t 2\t\n\t3    4 \n", 2, None),
+        (b"1,2\n3, 4\n", 2, None),
+        (b"1.5 -2.5 3\n", 2, 3),
+        (b"1\n2\n", 2, None),
+        (b"1 2\n3 4 5\n", 2, 3),
+        (b"1 2\n3\n", 2, None),
+        (b"1 2\nnan 3\n", 2, None),
+        (b"1 2\n3 inf\n", 2, None),
+        (b"-inf 2\n", 2, None),
+        (b"1_0 2\n", 2, None),
+        (b"0x10 2\n", 2, None),
+        (b"+1.5 .5\n1. 1e-320\n", 2, None),
+        (b"-0.0 123456789012\n", 2, None),
+        (b"1 2\r\n3 4\r\n", 2, None),
+        (b"1 2\r3 4\r", 2, None),
+        (b"1 2\x0b3 4\n", 2, None),
+        (b"1 2\x0c\n3\x0c4\n", 2, None),
+        ("1\u00a02\n".encode(), 2, None),
+        (b"", 2, None),
+        (b"# a\n# b\n", 2, None),
+    ], ids=["full-line-comment", "inline-comment", "blank-lines", "whitespace-lines",
+            "tabs", "mixed-whitespace", "commas", "single-row", "single-column",
+            "ragged", "short-row", "nan", "inf", "minus-inf", "underscore", "hex",
+            "float-spellings", "negative-zero", "crlf", "cr", "vertical-tab",
+            "form-feed", "non-breaking-space", "empty", "comment-only"])
+    def test_fast_path_matches_python_parser(self, tmp_path, content, min_cols,
+                                             max_cols):
+        from defectkit.datasets import _parse_table
+        p = tmp_path / "t.txt"
+        p.write_bytes(content)
+        try:
+            want = _parse_table(p, p.read_text(), min_cols, max_cols or min_cols)
+        except SchemaError as err:
+            with pytest.raises(SchemaError) as got:
+                read_table(p, min_cols, max_cols)
+            assert str(got.value) == str(err)
+        else:
+            got = read_table(p, min_cols, max_cols)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
+
+    def test_plain_table_skips_python_parser(self, tmp_path, monkeypatch):
+        from defectkit import datasets
+        p = tmp_path / "t.txt"
+        p.write_text("# x\ty\n1\t2 # one\n\n3.5 -4e-3\n")
+
+        def refuse(*args):
+            raise AssertionError("the line-by-line parser ran")
+
+        monkeypatch.setattr(datasets, "_parse_table", refuse)
+        assert read_table(p, 2).tolist() == [[1.0, 2.0], [3.5, -4e-3]]
+
+
+def _fstring_write_table(path, columns, header):
+    """The per-value f-string formatter write_table used to run."""
+    arrays = [np.asarray(c, dtype=float) for c in columns]
+    lines = ["# " + "\t".join(header)]
+    for row in zip(*arrays):
+        lines.append("\t".join(f"{v:.10g}" for v in row))
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+class TestWriteTable:
+    def test_bytes_match_fstring_formatter(self, tmp_path):
+        rng = np.random.default_rng(7)
+        values = np.concatenate([
+            [-0.0, 0.0, 1e-300, -1e-300, 5e-324, 1.7976931348623157e308, 0.1, 1 / 3,
+             123456789012.0, -987654321098.7, 999999999999.5, 1e10, 12345678901.25],
+            rng.normal(size=40) * 10.0 ** rng.integers(-12, 13, size=40),
+        ])
+        columns = [np.arange(values.size), values, values[::-1], values * 1e-7]
+        header = ["index", "value", "reversed", "scaled"]
+        write_table(tmp_path / "new.txt", columns, header)
+        _fstring_write_table(tmp_path / "old.txt", columns, header)
+        assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "old.txt").read_bytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_writes_nothing(self, tmp_path, bad):
+        out = tmp_path / "t.txt"
+        with pytest.raises(DefectKitError, match="t.txt: not written"):
+            write_table(out, [[1.0, 2.0], [3.0, bad]], ["x", "y"])
+        assert not out.exists()
+
+
+class TestWriteJson:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, np.float64(-np.inf)])
+    def test_non_finite_value_writes_nothing(self, tmp_path, bad):
+        out = tmp_path / "r.json"
+        with pytest.raises(DefectKitError, match="r.json: not written"):
+            write_json(out, {"ok": 1.0, "nested": {"bad": [bad]}})
+        assert not out.exists()
 
 
 class TestIngest:
@@ -291,6 +391,8 @@ class TestCliOdmrFit:
 POWER_SWEEP = ('{"rates": {"k_ex": 1e6, "k_f": 1e8, "k_isc": 5e7, "k0": 4.7e5, '
                '"km": 2.3e6, "kp": 4e6}, "sigma_cm2": 1e-17, "wavelength_nm": 532, '
                '"focal_area_cm2": 1e-8, %s}')
+# config keys are checked before the table is read, so it need not exist
+ODMR_FIT = '{"data": "odmr.txt", "init": {"D": 1130, "E": 140}, "magnitude_G": 100, %s}'
 
 
 class TestCliUsageErrors:
@@ -357,13 +459,24 @@ class TestCliUsageErrors:
          "focal_area_cm2 must be positive"),
         ("power-sweep", POWER_SWEEP % '"powers": {"start": 0, "stop": 1e-3, "num": 3}',
          "'start': invalid value 0"),
+        ("odmr-fit", ODMR_FIT % '"fit_orientation": "false"',
+         "'fit_orientation': invalid value 'false'"),
+        ("odmr-fit", ODMR_FIT % '"fit_tilt": 1', "'fit_tilt': invalid value 1"),
+        ("odmr-fit", ODMR_FIT % '"fit_orientation": [0]',
+         "'fit_orientation': invalid value [0]"),
+        ("defect-classify", '{"constraints": {"require_coalignment": "false"}}',
+         "'require_coalignment': invalid value 'false'"),
+        ("defect-classify", '{"constraints": {"require_coalignment": "x"}}',
+         "'require_coalignment': invalid value 'x'"),
     ], ids=["list", "string-value", "nan-value", "string-in-array", "string-section",
             "nan-string", "inf-string", "overflow-string", "nan-string-in-section",
             "nan-string-in-triad", "null-in-vector", "inf-string-in-array",
             "nan-string-deconvolve", "negative-angle-count", "zero-orientations",
             "true-orientations", "empty-orientations", "scalar-plane-normal",
             "zero-exponentials", "negative-exponentials", "zero-eta",
-            "scalar-powers", "zero-wavelength", "zero-focal-area", "zero-power-start"])
+            "scalar-powers", "zero-wavelength", "zero-focal-area", "zero-power-start",
+            "string-false-orientation", "number-tilt", "list-orientation",
+            "string-false-coalignment", "string-coalignment"])
     def test_bad_config_exits_2(self, tmp_path, capsys, pipeline, text, message):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(text)
@@ -478,6 +591,50 @@ class TestCliUsageErrors:
         assert main(["psb-synth", "--config", str(cfg), "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not (out / "synth.json").exists()
+
+
+class TestCliNonFiniteOutput:
+    """A result that overflows is an analysis failure (exit 1), not a file."""
+
+    def _inputs(self, root):
+        from defectkit.psb import (
+            OnePhononBand, SpectralBand, ZplShape, make_grid, synthesize_band,
+        )
+        grid = make_grid(0.0, 100.0, 1.0)
+        i1 = np.exp(-0.5 * ((grid - 50.0) / 10.0) ** 2)
+        i1 *= np.clip(grid / 4.0, 0, 1) * np.clip((100.0 - grid) / 4.0, 0, 1)
+        band = synthesize_band(OnePhononBand(SpectralBand(grid, i1).normalized(),
+                                             cutoff_mev=100.0), 1.0, ZplShape.delta(1.0))
+        write_table(root / "band.txt", [band.grid, band.values], ["energy_meV", "intensity"])
+        tau = np.arange(0.0, 8000.0, 16.0)
+        counts = 1e5 * (1.0 - 0.8 * np.exp(-tau / 20.0) + 0.3 * np.exp(-tau / 500.0))
+        write_table(root / "hist.txt", [tau, counts], ["tau_ns", "counts"])
+        Path(root / "hist.txt.json").write_text(json.dumps(
+            {"n1": 1e4, "n2": 1e4, "bin_width_ns": 16.0, "accumulation_time_s": 62.5,
+             "rho": 0.9}))
+
+    @pytest.mark.parametrize("pipeline, config, output", [
+        ("psb-synth", {"S": 1e300, "i1": {"gaussians": [{"center_mev": 60,
+                                                          "sigma_mev": 10}]}},
+         "band.txt"),
+        ("psb-deconvolve", {"band": "band.txt", "S": 1e300, "spacing_mev": 1.0,
+                            "cutoff_mev": 100.0, "max_iter": 3},
+         "one_phonon_band.txt"),
+        ("g2-fit", {"data": "hist.txt", "n_exp": 2, "units": {"bin_width_ns": 1e300}},
+         "g2_fit.json"),
+    ], ids=["psb-synth-huge-S", "psb-deconvolve-huge-S", "g2-fit-huge-bin-width"])
+    def test_non_finite_result_exits_1(self, tmp_path, capsys, monkeypatch, pipeline,
+                                       config, output):
+        self._inputs(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        out = tmp_path / "run"
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = main([pipeline, "--config", "cfg.json", "--out", str(out)])
+        assert code == 1
+        assert f"{output}: not written" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == []
 
 
 class TestCliImport:

@@ -103,7 +103,70 @@ class TestDipoleEstimate:
         assert est.magnitude == 0.0
 
 
+MO_LABELS = ("a1", "a1'", "b1", "b2")
+
+
+def _spinspin_loop(homo, lumo, geom, covariance_mode):
+    """spinspin_tensor as a plain double loop over the ordered orbital pairs."""
+    basis = mo_basis(C2V)
+    ca = np.asarray(basis[homo].coefficients, dtype=float)
+    cb = np.asarray(basis[lumo].coefficients, dtype=float)
+    out = np.zeros((3, 3))
+    for i in range(4):
+        for j in range(4):
+            w = ca[i] ** 2 * cb[j] ** 2
+            if i == j or w == 0.0:
+                continue
+            r = geom.mean_positions[j] - geom.mean_positions[i]
+            dist = np.linalg.norm(r)
+            if dist < 1e-12:
+                raise SingularGeometryError(
+                    f"orbitals c{i+1} and c{j+1} have coincident mean positions"
+                )
+            if covariance_mode == "leading":
+                cov = geom.covariance(min(i, j))
+            else:
+                cov = geom.covariance(i) + geom.covariance(j)
+            out += w * (np.eye(3) / dist**3 - 3.0 * (np.outer(r, r) - cov) / dist**5)
+    out *= 2.0
+    out = 0.5 * (out + out.T)
+    return out - np.trace(out) / 3.0 * np.eye(3)
+
+
 class TestSpinSpinTensor:
+    @pytest.mark.parametrize("mode", ["leading", "paired"])
+    @pytest.mark.parametrize("theta", [None, 35.26, 45.0, 50.0, 60.0])
+    @pytest.mark.parametrize("delta", [0.0, 0.02, 0.05])
+    def test_matches_double_loop(self, mode, theta, delta):
+        if theta is None:
+            geom = VacancyGeometry.tetrahedral(delta=delta)
+        else:
+            geom = VacancyGeometry.with_polar_angle(theta, delta=delta)
+        for homo in MO_LABELS:
+            for lumo in MO_LABELS:
+                want = _spinspin_loop(homo, lumo, geom, mode)
+                got = spinspin_tensor(homo, lumo, geom, covariance_mode=mode).matrix
+                assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+    @pytest.mark.parametrize("mean_z, mean_y", [(0.0, 0.5), (0.5, 0.0), (0.0, 0.0)],
+                             ids=["c1-on-c2", "c3-on-c4", "both"])
+    def test_coincident_pair_named_in_loop_order(self, mean_z, mean_y):
+        # mirror-consistent centroids with c1 = c2 and/or c3 = c4
+        mean = np.array([[-0.5, 0.0, mean_z], [-0.5, 0.0, -mean_z],
+                         [0.5, mean_y, 0.0], [0.5, -mean_y, 0.0]])
+        geom = VacancyGeometry(positions=VacancyGeometry.tetrahedral().positions,
+                               mean_positions=mean)
+        for homo in MO_LABELS:
+            for lumo in MO_LABELS:
+                try:
+                    _spinspin_loop(homo, lumo, geom, "leading")
+                except SingularGeometryError as err:
+                    with pytest.raises(SingularGeometryError) as got:
+                        spinspin_tensor(homo, lumo, geom)
+                    assert str(got.value) == str(err)
+                else:
+                    spinspin_tensor(homo, lumo, geom)
+
     def test_two_parameter_tilt_form(self):
         # 45-degree in-plane bonds: the covariance components obey
         # |Delta_xz| = Delta_xx = Delta_zz and the tensor collapses to
