@@ -11,24 +11,21 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from . import defect_model, g2_processing, photodynamics, psb, spin_hamiltonian
-from .datasets import (
-    DatasetDescriptor,
-    EmissionSpectrum,
-    ingest,
-    sha256_of,
-    write_json,
-    write_table,
-)
+from .datasets import DatasetDescriptor, ingest, sha256_of, write_json, write_table
 from .errors import DefectKitError, InvalidParameterError, SchemaError
 
 PIPELINES = {}
+
+# The largest count a config may give. The costliest run it allows, psb-synth
+# at n_max 1000 on a 100-point band, takes about a second and 60 MB.
+MAX_COUNT = 1000
 
 
 def _pipeline(name):
@@ -61,11 +58,13 @@ def _cfg(config, key, default=KeyError, kind=None):
 
 
 def _finite(value):
-    """float(value), refusing NaN and infinities also when spelled as text.
+    """float(value), refusing booleans, NaN and infinities also when spelled as text.
 
-    Every float the config supplies, in JSON or as a string, goes through
+    Every number the config supplies, in JSON or as a string, goes through
     this one conversion.
     """
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is not a number")
     number = float(value)
     if not math.isfinite(number):
         raise ValueError(f"non-finite number {value}")
@@ -82,7 +81,9 @@ def _read_json(path):
 
 
 def _floats(value):
-    return np.array([_finite(v) for v in np.ravel(value)]).reshape(np.shape(value))
+    """A number or nested lists of numbers as a float array, each through _finite."""
+    items = np.array(value, dtype=object)  # keeps each JSON value, booleans too
+    return np.array([_finite(v) for v in items.ravel()]).reshape(items.shape)
 
 
 def _float_pair(value):
@@ -97,18 +98,12 @@ def _positive(value):
     return number
 
 
-def _switch(value):
-    """A JSON true or false; no other value switches anything."""
-    if not isinstance(value, bool):
-        raise TypeError(f"{value!r} is not true or false")
-    return value
-
-
 def _count(value):
-    number = int(value)
-    if number < 1:
-        raise ValueError(f"{value} is not a positive count")
-    return number
+    """A whole number in [1, MAX_COUNT]; booleans and fractions are refused."""
+    number = _finite(value)
+    if not number.is_integer() or not 1 <= number <= MAX_COUNT:
+        raise ValueError(f"{value} is not a count in [1, {MAX_COUNT}]")
+    return int(number)
 
 
 def _triads(value):
@@ -118,10 +113,42 @@ def _triads(value):
     return list(triads)
 
 
-def _axis_labels(value):
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise TypeError("expected a list of axis labels")
-    return value
+def _instance(cls):
+    """The kind of a JSON value taken as it is, and only if it is a cls."""
+    def check(value):
+        if not isinstance(value, cls):
+            raise TypeError(f"{value!r} is not a {cls.__name__}")
+        return value
+    return check
+
+
+# a switch is a JSON true or false: "false", 0 and [0] switch nothing
+_switch, _label, _section = _instance(bool), _instance(str), _instance(dict)
+
+
+def _list_of(kind):
+    """The kind of a JSON list whose every element passes through kind."""
+    def convert(value):
+        if not isinstance(value, list):
+            raise TypeError(f"{value!r} is not a list")
+        return [kind(v) for v in value]
+    return convert
+
+
+def _spaced(spec, spacing, kind):
+    """spacing(start, stop, num) from a {start, stop, num} section, the ends through kind."""
+    return spacing(_cfg(spec, "start", kind=kind), _cfg(spec, "stop", kind=kind),
+                   _cfg(spec, "num", kind=_count))
+
+
+def _ingest(inputs, path, kind, units=None):
+    """ingest() of path as kind; path, and the sidecar where kind reads one, join inputs."""
+    desc = DatasetDescriptor(path=path, kind=kind, units=units)
+    inputs.append(path)
+    sidecar = desc.sidecar_path()
+    if sidecar is not None and sidecar.exists():
+        inputs.append(str(sidecar))
+    return ingest(desc)
 
 
 def _zfs_from_config(config, key="init"):
@@ -134,50 +161,41 @@ def _zfs_from_config(config, key="init"):
     )
 
 
-def _angle_grid(sweep_cfg):
-    spec = _cfg(sweep_cfg, "angles_deg")
-    if isinstance(spec, list):
-        return _cfg(sweep_cfg, "angles_deg", kind=_floats)
-    return np.linspace(_cfg(spec, "start", kind=_finite),
-                       _cfg(spec, "stop", kind=_finite), _cfg(spec, "num", kind=_count))
-
-
 @_pipeline("odmr-sim")
 def run_odmr_sim(config, outdir, inputs):
     p = _zfs_from_config(config, key=None)
-    outputs = []
     lines = spin_hamiltonian.zero_field_lines(p)
-    write_table(
-        outdir / "zero_field_lines.txt",
-        [lines.frequencies],
-        ["freq_MHz"],
+    write_table(outdir / "zero_field_lines.txt", [lines.frequencies], ["freq_MHz"])
+    sweep_cfg = _cfg(config, "sweep", None)
+    if not sweep_cfg:
+        return ["zero_field_lines.txt"]
+    angles = _cfg(sweep_cfg, "angles_deg")
+    if isinstance(angles, list):
+        angles = _cfg(sweep_cfg, "angles_deg", kind=_floats)
+    else:
+        angles = _spaced(angles, np.linspace, _finite)
+    orientations = _cfg(sweep_cfg, "orientations", "single")
+    if orientations == "110-family":
+        triads = spin_hamiltonian.orientation_family()
+    elif orientations == "single":
+        triads = [p.axes]
+    else:
+        triads = _cfg(sweep_cfg, "orientations", kind=_triads)
+    table = spin_hamiltonian.angular_sweep(
+        p,
+        magnitude=_cfg(sweep_cfg, "magnitude_G", kind=_finite),
+        plane_normal=_cfg(sweep_cfg, "plane_normal", [0, 0, 1], _floats),
+        angles_deg=angles,
+        orientations=triads,
     )
-    outputs.append("zero_field_lines.txt")
-    sweep_cfg = config.get("sweep")
-    if sweep_cfg:
-        angles = _angle_grid(sweep_cfg)
-        orientations = _cfg(sweep_cfg, "orientations", "single")
-        if orientations == "110-family":
-            triads = spin_hamiltonian.orientation_family()
-        elif orientations == "single":
-            triads = [p.axes]
-        else:
-            triads = _cfg(sweep_cfg, "orientations", kind=_triads)
-        table = spin_hamiltonian.angular_sweep(
-            p,
-            magnitude=_cfg(sweep_cfg, "magnitude_G", kind=_finite),
-            plane_normal=_cfg(sweep_cfg, "plane_normal", [0, 0, 1], _floats),
-            angles_deg=angles,
-            orientations=triads,
-        )
-        rows = np.array(list(table.rows()))
-        write_table(
-            outdir / "sweep.txt",
-            [rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3], rows[:, 4]],
-            ["orientation", "angle_deg", "f1_MHz", "f2_MHz", "f3_MHz"],
-        )
-        outputs.append("sweep.txt")
-    return outputs
+    n_or, n_ang = table.lines.shape[:2]
+    write_table(
+        outdir / "sweep.txt",
+        [np.repeat(np.arange(n_or), n_ang), np.tile(table.angles_deg, n_or),
+         *table.lines.reshape(-1, 3).T],
+        ["orientation", "angle_deg", "f1_MHz", "f2_MHz", "f3_MHz"],
+    )
+    return ["zero_field_lines.txt", "sweep.txt"]
 
 
 @_pipeline("odmr-fit")
@@ -190,8 +208,7 @@ def run_odmr_fit(config, outdir, inputs):
         fit_orientation=_cfg(config, "fit_orientation", False, _switch),
         fit_tilt=_cfg(config, "fit_tilt", False, _switch),
     )
-    inputs.append(data_path)
-    observed = ingest(DatasetDescriptor(path=data_path, kind="odmr_table"))
+    observed = _ingest(inputs, data_path, "odmr_table")
     result = spin_hamiltonian.fit_odmr(observed, **options)
     errs = np.sqrt(np.clip(np.diag(result.covariance), 0.0, None))
     write_json(outdir / "odmr_fit.json", {
@@ -214,13 +231,8 @@ def run_odmr_fit(config, outdir, inputs):
 @_pipeline("g2-fit")
 def run_g2_fit(config, outdir, inputs):
     n_exp = _cfg(config, "n_exp", 4, _count)
-    data_path = _cfg(config, "data", kind=str)
-    inputs.append(data_path)
-    desc = DatasetDescriptor(path=data_path, kind="g2_histogram",
-                             units=_cfg(config, "units", None, dict))
-    if desc.sidecar_path().exists():
-        inputs.append(str(desc.sidecar_path()))
-    hist, rho = ingest(desc)
+    hist, rho = _ingest(inputs, _cfg(config, "data", kind=str), "g2_histogram",
+                        _cfg(config, "units", None, _section))
     rho = _cfg(config, "rho", rho, _finite)
     curve = g2_processing.background_correct(g2_processing.normalize(hist), rho)
     result = g2_processing.fit_g2(
@@ -266,13 +278,13 @@ def run_rates_extract(config, outdir, inputs):
 
 @_pipeline("power-sweep")
 def run_power_sweep(config, outdir, inputs):
-    base = _cfg(config, "rates", kind=lambda spec: photodynamics.RateParams(**spec))
+    rates = _cfg(config, "rates")  # each rate through _finite, required unless defaulted
+    base = photodynamics.RateParams(**{
+        f.name: _cfg(rates, f.name, KeyError if f.default is MISSING else f.default, _finite)
+        for f in fields(photodynamics.RateParams)})
     powers = _cfg(config, "powers_w", None, _floats)
     if powers is None:
-        spec = _cfg(config, "powers")
-        powers = np.geomspace(_cfg(spec, "start", kind=_positive),
-                              _cfg(spec, "stop", kind=_positive),
-                              _cfg(spec, "num", kind=_count))
+        powers = _spaced(_cfg(config, "powers"), np.geomspace, _positive)
     points = photodynamics.power_sweep_model(
         base,
         sigma_cm2=_cfg(config, "sigma_cm2", kind=_finite),
@@ -280,15 +292,12 @@ def run_power_sweep(config, outdir, inputs):
         powers_w=powers,
         wavelength_nm=_cfg(config, "wavelength_nm", kind=_finite),
         focal_area_cm2=_cfg(config, "focal_area_cm2", kind=_finite),
-        driven=config.get("driven", "plus"),
+        driven=_cfg(config, "driven", "plus"),
     )
-    write_table(
-        outdir / "power_sweep.txt",
-        [[p.power_w for p in points], [p.k_ex for p in points],
-         [p.k_isc for p in points], [p.fluorescence for p in points],
-         [p.contrast for p in points]],
-        ["power_W", "kex", "kisc", "counts", "contrast"],
-    )
+    write_table(outdir / "power_sweep.txt",
+                [[getattr(p, name) for p in points]
+                 for name in ("power_w", "k_ex", "k_isc", "fluorescence", "contrast")],
+                ["power_W", "kex", "kisc", "counts", "contrast"])
     return ["power_sweep.txt"]
 
 
@@ -302,19 +311,21 @@ def _zpl_from_config(config, spacing):
     raise SchemaError("zpl kind must be delta or gaussian")
 
 
+def _spacing_cutoff(config):
+    return (_cfg(config, "spacing_mev", 0.25, _finite),
+            _cfg(config, "cutoff_mev", psb.DIAMOND_PHONON_CUTOFF_MEV, _finite))
+
+
 def _i1_from_config(config, inputs):
-    spacing = _cfg(config, "spacing_mev", 0.25, _finite)
-    cutoff = _cfg(config, "cutoff_mev", psb.DIAMOND_PHONON_CUTOFF_MEV, _finite)
+    spacing, cutoff = _spacing_cutoff(config)
     i1_path = _cfg(config, "i1_file", None, str)
     if i1_path is not None:
-        inputs.append(i1_path)
-        band = ingest(DatasetDescriptor(path=i1_path, kind="dos_table",
-                                        units={"spacing_mev": spacing}))
+        band = _ingest(inputs, i1_path, "dos_table", {"spacing_mev": spacing})
         return psb.smooth_and_taper(band, cutoff, smooth_bins=1), spacing, cutoff
     spec = _cfg(config, "i1")
     grid = psb.make_grid(0.0, cutoff, spacing)
     vals = np.zeros_like(grid)
-    for g in _cfg(spec, "gaussians", kind=list):
+    for g in _cfg(spec, "gaussians", kind=_list_of(_section)):
         center = _cfg(g, "center_mev", kind=_finite)
         x = (grid - center) / _cfg(g, "sigma_mev", kind=_positive)
         vals += _cfg(g, "weight", 1.0, _finite) * np.exp(-0.5 * x**2)
@@ -328,13 +339,13 @@ def run_psb_synth(config, outdir, inputs):
     i1, spacing, cutoff = _i1_from_config(config, inputs)
     s = _cfg(config, "S", kind=_finite)
     zpl = _zpl_from_config(config, spacing)
-    n_max = _cfg(config, "n_max", None, int) or psb.poisson_n_max(s)
+    n_max = _cfg(config, "n_max", None, _count) or psb.poisson_n_max(s)
     band = psb.synthesize_band(i1, s, zpl, n_max=n_max)
     write_table(outdir / "band.txt", [band.grid, band.values],
                 ["energy_meV", "intensity"])
     write_json(outdir / "synth.json", {
         "S": s,
-        "n_max": int(n_max),
+        "n_max": n_max,
         "truncation_bound": psb.poisson_truncation_bound(s, n_max),
         "norm": band.integral(),
         "zpl_weight": np.exp(-s),
@@ -344,37 +355,28 @@ def run_psb_synth(config, outdir, inputs):
 
 @_pipeline("psb-deconvolve")
 def run_psb_deconvolve(config, outdir, inputs):
-    spacing = _cfg(config, "spacing_mev", 0.25, _finite)
-    cutoff = _cfg(config, "cutoff_mev", psb.DIAMOND_PHONON_CUTOFF_MEV, _finite)
+    spacing, cutoff = _spacing_cutoff(config)
     spectrum_path = _cfg(config, "spectrum", None, str)
     if spectrum_path is not None:
-        inputs.append(spectrum_path)
-        desc = DatasetDescriptor(path=spectrum_path, kind="emission_spectrum",
-                                 units=dict(_cfg(config, "units", {}, dict),
-                                            spacing_mev=spacing))
-        if desc.sidecar_path().exists():
-            inputs.append(str(desc.sidecar_path()))
-        spectrum: EmissionSpectrum = ingest(desc)
+        spectrum = _ingest(inputs, spectrum_path, "emission_spectrum",
+                           dict(_cfg(config, "units", {}, _section), spacing_mev=spacing))
         band = psb.bandshape_from_emission(spectrum.band, spectrum.zpl_mev)
     else:
-        band_path = _cfg(config, "band", kind=str)
-        inputs.append(band_path)
-        band = ingest(DatasetDescriptor(path=band_path, kind="dos_table",
-                                        units={"spacing_mev": spacing})).normalized()
+        band = _ingest(inputs, _cfg(config, "band", kind=str), "dos_table",
+                       {"spacing_mev": spacing}).normalized()
     s = _cfg(config, "S", None, _finite)
     if s is None:
-        window = _cfg(config, "zpl_window_mev", kind=_float_pair)
-        s = psb.estimate_huang_rhys(band, window)
+        s = psb.estimate_huang_rhys(band, _cfg(config, "zpl_window_mev", kind=_float_pair))
     zpl = _zpl_from_config(config, band.spacing)
     init = psb.direct_fourier_deconvolve(band, s, zpl, cutoff_mev=cutoff)
     smoothed = psb.smooth_and_taper(
         init.band, cutoff,
-        smooth_bins=_cfg(config, "smooth_bins", 5, int),
+        smooth_bins=_cfg(config, "smooth_bins", 5, _count),
         taper_fraction=_cfg(config, "taper_fraction", 0.1, _finite),
     )
     i1, trace = psb.iterative_deconvolve(
         band, s, zpl, smoothed,
-        max_iter=_cfg(config, "max_iter", 50, int),
+        max_iter=_cfg(config, "max_iter", 50, _count),
         tol=_cfg(config, "tol", 1e-6, _finite),
     )
     write_table(outdir / "one_phonon_band.txt", [i1.grid, i1.values],
@@ -389,9 +391,7 @@ def run_psb_deconvolve(config, outdir, inputs):
     outputs = ["one_phonon_band.txt", "convergence.json"]
     dos_path = _cfg(config, "dos", None, str)
     if dos_path is not None:
-        inputs.append(dos_path)
-        dos = ingest(DatasetDescriptor(path=dos_path, kind="dos_table"))
-        report = psb.critical_point_report(i1, dos)
+        report = psb.critical_point_report(i1, _ingest(inputs, dos_path, "dos_table"))
         write_json(outdir / "critical_points.json", {
             "peaks": [asdict(p) for p in report.peaks],
             "above_cutoff_fraction": report.above_cutoff_fraction,
@@ -406,7 +406,7 @@ def run_psb_deconvolve(config, outdir, inputs):
 
 @_pipeline("defect-classify")
 def run_defect_classify(config, outdir, inputs):
-    group = defect_model.point_group(config.get("group", "C2v"))
+    group = defect_model.point_group(_cfg(config, "group", "C2v"))
     geo_cfg = _cfg(config, "geometry", {})
     delta = _cfg(geo_cfg, "delta", 0.0, _finite)
     theta = _cfg(geo_cfg, "theta_deg", None, _finite)
@@ -415,16 +415,16 @@ def run_defect_classify(config, outdir, inputs):
     else:
         geom = defect_model.VacancyGeometry.tetrahedral(delta=delta)
     records = defect_model.classify_pairs(group, geom)
-    constraints = config.get("constraints")
+    constraints = _cfg(config, "constraints", None)
     selected = records
     if constraints is not None:
         selected = defect_model.candidate_filter(
             records,
-            dipole_axes=_cfg(constraints, "dipole_axes", None, _axis_labels),
-            spin_axes=_cfg(constraints, "spin_axes", None, _axis_labels),
+            dipole_axes=_cfg(constraints, "dipole_axes", None, _list_of(_label)),
+            spin_axes=_cfg(constraints, "spin_axes", None, _list_of(_label)),
             require_coalignment=_cfg(constraints, "require_coalignment", False, _switch),
         )
-    counts = _cfg(config, "electron_counts", [4, 6], lambda ns: [int(n) for n in ns])
+    counts = _cfg(config, "electron_counts", [4, 6], _list_of(_count))
     structures = {
         str(n): [asdict(s) for s in defect_model.structure_shortlist(n)]
         for n in counts
@@ -480,20 +480,17 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        config = _read_json(args.config)
-    except SchemaError as err:
-        print(f"defectkit: {err}", file=sys.stderr)
-        return 2
-    if not isinstance(config, dict):
-        print("defectkit: config must be a JSON object", file=sys.stderr)
-        return 2
+    args = build_parser().parse_args(argv)
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     inputs = [args.config]
     try:
+        config = _read_json(args.config)
+        if not isinstance(config, dict):
+            raise SchemaError("config must be a JSON object")
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as err:
+            raise SchemaError(f"cannot use --out {args.out}: {err}") from None
         outputs = PIPELINES[args.pipeline](config, outdir, inputs)
     except (SchemaError, InvalidParameterError) as err:
         # malformed configs and data are usage problems, not analysis ones

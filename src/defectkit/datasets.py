@@ -54,7 +54,10 @@ class DatasetDescriptor:
             raise SchemaError(f"unknown dataset kind {self.kind!r}")
 
     def sidecar_path(self):
-        return Path(str(self.path) + ".json")
+        """'<path>.json' for the kinds that read a sidecar, None for the others."""
+        if self.kind in ("g2_histogram", "emission_spectrum"):
+            return Path(str(self.path) + ".json")
+        return None
 
 
 def sha256_of(path):

@@ -126,8 +126,8 @@ def _model_matrix(tau_ns, taus):
     return np.exp(-np.outer(tau_ns, 1.0 / taus))
 
 
-def fit_g2(tau_ns, values, n_exp=4, counts=None, init_taus=None, rho=1.0,
-           max_nfev=2000) -> G2FitResult:
+def fit_g2(tau_ns, values, n_exp=4, counts=None, init_taus=None,
+           rho=1.0) -> G2FitResult:
     """Nonlinear least-squares fit of 1 - sum alpha_i exp(-t/tau_i).
 
     tau_ns, values: the corrected g2 curve (delays in ns; only non-negative
@@ -200,7 +200,7 @@ def fit_g2(tau_ns, values, n_exp=4, counts=None, init_taus=None, rho=1.0,
         if init_rms is None:
             r0 = projected_residual(x0)
             init_rms = float(np.sqrt(np.mean(r0**2)))
-        trial = least_squares(projected_residual, x0, max_nfev=max_nfev)
+        trial = least_squares(projected_residual, x0, max_nfev=2000)
         if sol is None or trial.cost < sol.cost:
             sol = trial
     if sol.status <= 0:

@@ -313,6 +313,8 @@ def extract_rates(fit, detected, eta) -> RateParams:
     e1 = b_v - s2 / s1
     e2 = c_v - (b_v * s2 - s3) / s1
     e3 = e_v / s1
+    if not np.isfinite([s1, s2, s3, e1, e2, e3]).all():
+        raise InvalidFitError("amplitude moment sums overflow")
     trip = np.roots([1.0, -e1, e2, -e3])
     if np.max(np.abs(trip.imag)) > 1e-6 * np.max(np.abs(trip)):
         raise InvalidFitError("implied triplet rates are complex")

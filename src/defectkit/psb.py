@@ -28,6 +28,19 @@ from .errors import DivergenceError, InvalidParameterError
 
 _ALIGN_TOL = 1e-6
 
+# The longest grid the module builds, 8 MB as floats. A finer spacing, or a
+# wider range, ZPL or series, is refused rather than allocated.
+MAX_GRID_POINTS = 1 << 20
+
+
+def _grid_length(n):
+    """n, the length of a grid about to be built, refused beyond MAX_GRID_POINTS."""
+    if not n <= MAX_GRID_POINTS:
+        raise InvalidParameterError(
+            f"grid would exceed {MAX_GRID_POINTS} points: the spacing is too fine "
+            "for the range, width or n_max")
+    return n
+
 
 def _check_grid(grid):
     grid = np.asarray(grid, dtype=float)
@@ -93,9 +106,9 @@ def make_grid(lo_mev, hi_mev, spacing_mev=0.25):
     """Uniform grid on multiples of the spacing covering [lo, hi]."""
     if not spacing_mev > 0:
         raise InvalidParameterError("grid spacing must be positive")
-    i0 = int(np.floor(lo_mev / spacing_mev + 1e-12))
-    i1 = int(np.ceil(hi_mev / spacing_mev - 1e-12))
-    return spacing_mev * np.arange(i0, i1 + 1)
+    i0 = np.floor(lo_mev / spacing_mev + 1e-12)
+    n = _grid_length(np.ceil(hi_mev / spacing_mev - 1e-12) - i0 + 1)
+    return spacing_mev * (i0 + np.arange(n))
 
 
 @dataclass
@@ -117,10 +130,13 @@ class ZplShape:
         return cls(SpectralBand(grid, values))
 
     @classmethod
-    def gaussian(cls, spacing_mev, sigma_mev, extent=5.0):
+    def gaussian(cls, spacing_mev, sigma_mev):
+        """Gaussian line of standard deviation sigma_mev, cut at five sigma."""
         if not sigma_mev > 0:
             raise InvalidParameterError("ZPL width must be positive")
-        n = max(int(np.ceil(extent * sigma_mev / spacing_mev)), 1)
+        half = np.ceil(5.0 * sigma_mev / spacing_mev)
+        _grid_length(2 * half + 1)
+        n = max(int(half), 1)
         grid = spacing_mev * np.arange(-n, n + 1)
         values = np.exp(-0.5 * (grid / sigma_mev) ** 2)
         band = SpectralBand(grid, values)
@@ -235,7 +251,7 @@ def _series_support(n_max, n1, i0, d):
     if n_max < 1:
         raise InvalidParameterError("n_max must be >= 1")
     _check_spacing(i0, d)
-    size = n_max * (n1 - 1) + i0.values.size
+    size = _grid_length(n_max * (n1 - 1) + i0.values.size)
     return size, 1 << (size - 1).bit_length()
 
 
@@ -301,15 +317,22 @@ def _circular_buffers(band: SpectralBand, i0: ZplShape):
     return wrap(band), wrap(i0_band), n
 
 
+def _window_points(cutoff_mev, d):
+    """Points of the [0, cutoff] window on spacing d."""
+    steps = cutoff_mev / d
+    _grid_length(steps + 1)
+    return int(round(steps)) + 1
+
+
 def direct_fourier_deconvolve(band: SpectralBand, s, i0: ZplShape,
-                              cutoff_mev=DIAMOND_PHONON_CUTOFF_MEV,
-                              floor=1e-12) -> OnePhononBand:
+                              cutoff_mev=DIAMOND_PHONON_CUTOFF_MEV) -> OnePhononBand:
     """One-phonon band by Fourier-domain inversion of the Poisson series.
 
     In the transform domain the band factorizes as F[I] = exp(-S) F[I0]
     exp(S F[I1]), so F[I1] = 1 + log(F[I]/F[I0]) / S with the complex log
-    taken on the unwrapped phase. Transform magnitudes are floored at
-    floor*max before the log to keep spectral noise out of the logarithm.
+    taken on the unwrapped phase. Transform magnitudes are floored at 1e-12
+    of their maximum before the log to keep spectral noise out of the
+    logarithm.
     The result is clipped to [0, cutoff] and renormalized.
 
     The inversion is noise-sensitive and is intended as an initial estimate
@@ -317,6 +340,7 @@ def direct_fourier_deconvolve(band: SpectralBand, s, i0: ZplShape,
     """
     if s <= 0:
         raise InvalidParameterError("Huang-Rhys factor must be positive")
+    floor = 1e-12
     buf_band, buf_zpl, n = _circular_buffers(band, i0)
     d = band.spacing
     bt = np.fft.fft(buf_band) * d
@@ -327,7 +351,7 @@ def direct_fourier_deconvolve(band: SpectralBand, s, i0: ZplShape,
     log_ratio = np.log(mag) + 1j * np.unwrap(np.angle(ratio))
     u = (log_ratio + s) / s
     i1_buf = np.real(np.fft.ifft(u)) / d
-    n_keep = int(round(cutoff_mev / d)) + 1
+    n_keep = _window_points(cutoff_mev, d)
     vals = np.clip(i1_buf[:n_keep], 0.0, None)
     grid = d * np.arange(n_keep)
     return OnePhononBand(SpectralBand(grid, vals).normalized(),
@@ -349,10 +373,14 @@ def smooth_and_taper(raw: SpectralBand, cutoff_mev=DIAMOND_PHONON_CUTOFF_MEV,
 
     Applies a moving average of smooth_bins, then a cosine ramp to zero over
     taper_fraction of the cutoff at both ends of [0, cutoff], clips the
-    result to that support and renormalizes.
+    result to that support and renormalizes. A moving average longer than
+    that window is refused.
     """
     d = raw.spacing
-    n_keep = int(round(cutoff_mev / d)) + 1
+    n_keep = _window_points(cutoff_mev, d)
+    if smooth_bins > n_keep:
+        raise InvalidParameterError(
+            f"smooth_bins {smooth_bins} exceeds the {n_keep} points of [0, cutoff]")
     grid = d * np.arange(n_keep)
     vals = _window(raw.values, raw.start_index, n_keep)
     if smooth_bins > 1:
@@ -410,7 +438,7 @@ def iterative_deconvolve(band: SpectralBand, s, i0: ZplShape,
     d = band.spacing
     i0_band = _as_band(i0)
     i0_start = i0_band.start_index
-    n_keep = int(round(cutoff_mev / d)) + 1
+    n_keep = _window_points(cutoff_mev, d)
 
     # measured-band terms of the update, embedded on the [0, cutoff] window
     lhs = np.exp(s) * _window(band.values, band.start_index, n_keep)
@@ -515,17 +543,14 @@ class CriticalPointReport:
     overlay: np.ndarray  # columns: energy, band (unit max), dos (unit max)
 
 
-def critical_point_report(i1, dos: SpectralBand, prominence_frac=0.05,
-                          local_mode_threshold=0.01,
-                          cutoff_mev=None) -> CriticalPointReport:
+def critical_point_report(i1, dos: SpectralBand, cutoff_mev=None) -> CriticalPointReport:
     """Locate one-phonon features and compare them with the phonon DOS.
 
     i1 may be a OnePhononBand or a raw SpectralBand estimate that still
     carries weight above the cutoff. Peaks are local maxima with prominence
-    above prominence_frac of the band maximum, each paired with the nearest
-    DOS maximum. Band weight above the cutoff beyond local_mode_threshold
-    raises the local-mode flag (coupling to a quasi-local vibration rather
-    than the lattice continuum).
+    above 5% of the band maximum, each paired with the nearest DOS maximum.
+    Band weight above the cutoff beyond 1% raises the local-mode flag
+    (coupling to a quasi-local vibration rather than the lattice continuum).
     """
     if cutoff_mev is None:
         cutoff_mev = getattr(i1, "cutoff_mev", DIAMOND_PHONON_CUTOFF_MEV)
@@ -533,7 +558,7 @@ def critical_point_report(i1, dos: SpectralBand, prominence_frac=0.05,
 
     band = _as_band(i1)
     vals = band.values
-    idx, props = find_peaks(vals, prominence=prominence_frac * vals.max())
+    idx, props = find_peaks(vals, prominence=0.05 * vals.max())
     dos_idx, _ = find_peaks(dos.values, prominence=0.01 * dos.values.max())
     dos_peaks = dos.grid[dos_idx] if dos_idx.size else np.array([])
     peaks = []
@@ -559,6 +584,6 @@ def critical_point_report(i1, dos: SpectralBand, prominence_frac=0.05,
     return CriticalPointReport(
         peaks=peaks,
         above_cutoff_fraction=frac,
-        local_mode_flag=frac > local_mode_threshold,
+        local_mode_flag=frac > 0.01,
         overlay=overlay,
     )

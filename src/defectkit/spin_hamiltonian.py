@@ -174,12 +174,6 @@ class SweepTable:
     magnitude_g: float
     plane_normal: np.ndarray
 
-    def rows(self):
-        """Flat (orientation, angle_deg, f1, f2, f3) record iterator."""
-        for i in range(len(self.orientation_axes)):
-            for j, a in enumerate(self.angles_deg):
-                yield (i, float(a), *map(float, self.lines[i, j]))
-
 
 def angular_sweep(p: ZfsParams, magnitude, plane_normal, angles_deg,
                   orientations=None) -> SweepTable:
@@ -238,8 +232,7 @@ def _observed_array(observed):
 
 
 def fit_odmr(observed, init: ZfsParams, magnitude, plane_normal=(0, 0, 1),
-             fit_orientation=False, fit_tilt=False, max_iter=100,
-             tol=1e-12) -> OdmrFitResult:
+             fit_orientation=False, fit_tilt=False) -> OdmrFitResult:
     """Weighted least-squares fit of (D, E) [and orientation] to ODMR lines.
 
     observed: rows of (angle_deg, freq_MHz, sigma_MHz) where the field of
@@ -252,8 +245,9 @@ def fit_odmr(observed, init: ZfsParams, magnitude, plane_normal=(0, 0, 1),
     moving the defect z axis; fit_tilt frees the rotation about z that
     reorients the minor axes (the tilt suggested by imperfect high-symmetry
     fits). Damped Gauss-Newton with a Levenberg schedule (damping starts at
-    1e-3, x10 on reject, /10 on accept); exhausting the damping schedule
-    without an improving step counts as stationary.
+    1e-3, x10 on reject, /10 on accept) for at most 100 iterations, stopping
+    when a step falls below 1e-12 of the parameter norm; exhausting the
+    damping schedule without an improving step counts as stationary.
 
     The initial guess must lie in the basin of the global minimum; ODMR
     branch crossings make the problem multimodal.
@@ -321,6 +315,7 @@ def fit_odmr(observed, init: ZfsParams, magnitude, plane_normal=(0, 0, 1),
             J[:, k] = (residuals(tp) - r0) / step
         return J
 
+    max_iter, tol = 100, 1e-12
     lam = 1e-3
     converged = False
     n_iter = 0

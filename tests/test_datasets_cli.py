@@ -468,6 +468,16 @@ class TestCliUsageErrors:
          "'require_coalignment': invalid value 'false'"),
         ("defect-classify", '{"constraints": {"require_coalignment": "x"}}',
          "'require_coalignment': invalid value 'x'"),
+        ("odmr-sim", '{"D": true, "E": 100}', "'D': invalid value True"),
+        ("g2-fit", '{"data": "hist.txt", "n_exp": true}', "'n_exp': invalid value True"),
+        ("odmr-sim", '{"D": 1135, "E": 139, "sweep": {"magnitude_G": 100, '
+         '"angles_deg": {"start": 0, "stop": 1, "num": 2.5}}}', "'num': invalid value 2.5"),
+        ("power-sweep", POWER_SWEEP % '"powers": {"start": 1e-5, "stop": 1e-1, "num": 1001}',
+         "'num': invalid value 1001"),
+        ("power-sweep", POWER_SWEEP.replace('"k_ex": 1e6', '"k_ex": true') % '"powers_w": [1]',
+         "'k_ex': invalid value True"),
+        ("defect-classify", '{"electron_counts": [4, 1e9]}',
+         "'electron_counts': invalid value [4, 1000000000.0]"),
     ], ids=["list", "string-value", "nan-value", "string-in-array", "string-section",
             "nan-string", "inf-string", "overflow-string", "nan-string-in-section",
             "nan-string-in-triad", "null-in-vector", "inf-string-in-array",
@@ -476,13 +486,25 @@ class TestCliUsageErrors:
             "zero-exponentials", "negative-exponentials", "zero-eta",
             "scalar-powers", "zero-wavelength", "zero-focal-area", "zero-power-start",
             "string-false-orientation", "number-tilt", "list-orientation",
-            "string-false-coalignment", "string-coalignment"])
+            "string-false-coalignment", "string-coalignment", "true-number",
+            "true-count", "fractional-count", "count-over-cap", "true-rate",
+            "electron-count-over-cap"])
     def test_bad_config_exits_2(self, tmp_path, capsys, pipeline, text, message):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(text)
         assert main([pipeline, "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("out", ["file", "file/below"],
+                             ids=["existing-file", "below-a-file"])
+    def test_unusable_out_exits_2(self, tmp_path, capsys, out):
+        (tmp_path / "file").write_text("")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"D": 1135.0, "E": 139.0}))
+        assert main(["odmr-sim", "--config", str(cfg),
+                     "--out", str(tmp_path / out)]) == 2
+        assert f"cannot use --out {tmp_path / out}" in capsys.readouterr().err
 
     def test_non_finite_table_row_exits_2(self, tmp_path, capsys):
         from defectkit.spin_hamiltonian import ZfsParams, angular_sweep

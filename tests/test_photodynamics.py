@@ -7,6 +7,7 @@ from scipy.linalg import expm
 from defectkit.errors import (
     InconsistentFitError,
     DegenerateSystemError,
+    InvalidFitError,
     InvalidParameterError,
 )
 from defectkit.g2_processing import G2Fit
@@ -302,6 +303,11 @@ class TestExtractRates:
                     taus=np.array([5.0, 50.0, 500.0, 5000.0]))
         with pytest.raises(InconsistentFitError):
             extract_rates(fit, detected=1e30, eta=1.0)
+        # an amplitude so large that the moment sums overflow
+        huge = G2Fit(alphas=np.array([1e300, 0.3, 0.2, 0.2]), taus=fit.taus)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(InvalidFitError, match="moment sums overflow"):
+            extract_rates(huge, detected=1e4, eta=1.0)
 
 
 class TestcrossSection:

@@ -523,15 +523,36 @@ class TestCriticalPointReport:
 
 
 class TestZeroWidthRefused:
-    @pytest.mark.parametrize("spacing", [0.0, -0.25])
-    def test_make_grid_spacing(self, spacing):
-        with pytest.raises(InvalidParameterError, match="spacing must be positive"):
+    @pytest.mark.parametrize("spacing, message", [
+        (0.0, "spacing must be positive"),
+        (-0.25, "spacing must be positive"),
+        (1e-300, "grid would exceed"),
+    ], ids=["0.0", "-0.25", "1e-300"])
+    def test_make_grid_spacing(self, spacing, message):
+        with pytest.raises(InvalidParameterError, match=message):
             make_grid(0.0, OMEGA, spacing)
 
-    @pytest.mark.parametrize("sigma", [0.0, -1.0])
-    def test_gaussian_zpl_width(self, sigma):
-        with pytest.raises(InvalidParameterError, match="width must be positive"):
+    @pytest.mark.parametrize("sigma, message", [
+        (0.0, "width must be positive"),
+        (-1.0, "width must be positive"),
+        (1e300, "grid would exceed"),
+    ], ids=["0.0", "-1.0", "1e300"])
+    def test_gaussian_zpl_width(self, sigma, message):
+        with pytest.raises(InvalidParameterError, match=message):
             ZplShape.gaussian(0.25, sigma)
+
+    @pytest.mark.parametrize("run, message", [
+        (lambda i1, zpl: synthesize_band(i1, 1.0, zpl, n_max=10**300), "grid would exceed"),
+        (lambda i1, zpl: direct_fourier_deconvolve(synthesize_band(i1, 1.0, zpl), 1.0, zpl,
+                                                   cutoff_mev=1e300), "grid would exceed"),
+        (lambda i1, zpl: smooth_and_taper(i1.band, 100.0, smooth_bins=102),
+         "smooth_bins 102 exceeds the 101 points"),
+    ], ids=["n_max-1e300", "cutoff-1e300", "smooth-bins-past-cutoff"])
+    def test_oversized_request_refused(self, run, message):
+        # refused before anything of that size is allocated
+        i1 = gaussian_mixture_i1(np.random.default_rng(0), n=100, cutoff=100.0)
+        with pytest.raises(InvalidParameterError, match=message):
+            run(i1, ZplShape.delta(1.0))
 
 
 class TestPoissonHelpers:
