@@ -492,6 +492,7 @@ def main(argv=None):
         except OSError as err:
             raise SchemaError(f"cannot use --out {args.out}: {err}") from None
         outputs = PIPELINES[args.pipeline](config, outdir, inputs)
+        write_manifest(outdir, args.pipeline, config, inputs, outputs)
     except (SchemaError, InvalidParameterError) as err:
         # malformed configs and data are usage problems, not analysis ones
         print(f"defectkit: {args.pipeline}: {err}", file=sys.stderr)
@@ -499,7 +500,6 @@ def main(argv=None):
     except DefectKitError as err:
         print(f"defectkit: {args.pipeline}: {err}", file=sys.stderr)
         return 1
-    write_manifest(outdir, args.pipeline, config, inputs, outputs)
     return 0
 
 

@@ -13,8 +13,9 @@ Python parser. That parser is the only source of error messages, so every
 SchemaError names its line, and it is the reference the fast path must
 match bit for bit: the C parser accepts no number that ``float`` refuses.
 
-Tables are written with one '%.10g' format per row, and a non-finite value
-is refused before any file is written, as it is in JSON output.
+Tables are written with one '%.10g' format string for the whole table, and a
+non-finite value is refused before any file is written, as it is in JSON
+output. A file that cannot be written is a SchemaError that names it.
 """
 import hashlib
 import io
@@ -255,10 +256,9 @@ def write_table(path, columns, header):
     table = np.column_stack([np.asarray(c, dtype=float) for c in columns])
     if not np.isfinite(table).all():
         raise DefectKitError(f"{path}: not written: non-finite value in the table")
-    row = "\t".join(["%.10g"] * table.shape[1])
-    lines = ["# " + "\t".join(header)]
-    lines += [row % tuple(values) for values in table.tolist()]
-    Path(path).write_text("\n".join(lines) + "\n")
+    row = "\t".join(["%.10g"] * table.shape[1]) + "\n"
+    body = "".join([row] * len(table)) % tuple(table.ravel().tolist())
+    _write_text(path, "# " + "\t".join(header) + "\n" + body)
 
 
 def write_json(path, payload):
@@ -272,7 +272,15 @@ def write_json(path, payload):
                           allow_nan=False)
     except ValueError as err:
         raise DefectKitError(f"{path}: not written: {err}") from None
-    Path(path).write_text(text + "\n")
+    _write_text(path, text + "\n")
+
+
+def _write_text(path, text):
+    """Write a file; a path that cannot be written is a SchemaError."""
+    try:
+        Path(path).write_text(text)
+    except OSError as err:
+        raise SchemaError(f"{path}: cannot write: {err}") from None
 
 
 def _json_default(obj):

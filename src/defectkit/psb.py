@@ -32,6 +32,11 @@ _ALIGN_TOL = 1e-6
 # wider range, ZPL or series, is refused rather than allocated.
 MAX_GRID_POINTS = 1 << 20
 
+# The most work one Poisson series may take, in n_max Horner passes over the
+# n_fft//2 + 1 points of its rfft: about a second. n_max and the grid can
+# each be within their caps while their product is not.
+MAX_SERIES_WORK = 1 << 27
+
 
 def _grid_length(n):
     """n, the length of a grid about to be built, refused beyond MAX_GRID_POINTS."""
@@ -247,12 +252,19 @@ def poisson_truncation_bound(s, n_max):
 
 
 def _series_support(n_max, n1, i0, d):
-    """Length of sum_{n<=n_max} I0 (x) In (len(I1) = n1), and an FFT length past it."""
+    """Length of sum_{n<=n_max} I0 (x) In (len(I1) = n1), and an FFT length past it;
+    a series of more than MAX_SERIES_WORK point-passes is refused."""
     if n_max < 1:
         raise InvalidParameterError("n_max must be >= 1")
     _check_spacing(i0, d)
     size = _grid_length(n_max * (n1 - 1) + i0.values.size)
-    return size, 1 << (size - 1).bit_length()
+    n_fft = 1 << (size - 1).bit_length()
+    if n_max * (n_fft // 2 + 1) > MAX_SERIES_WORK:
+        raise InvalidParameterError(
+            f"Poisson series would exceed {MAX_SERIES_WORK} point-passes: n_max "
+            f"{n_max} over {n_fft // 2 + 1} frequencies; lower n_max or coarsen "
+            "the spacing")
+    return size, n_fft
 
 
 def _poisson_series(i1_values, s, n_max, n_fft, d):

@@ -1,10 +1,26 @@
 """S=1 triplet spin Hamiltonian: construction, ODMR lines, field sweeps, fitting.
 
 The zero-field interaction is D*[Sz^2 - S(S+1)/3] + E*(Sx^2 - Sy^2) in the
-defect frame (z = major axis), plus the Zeeman term g * (muB/h) * S.B with the
-field expressed in defect coordinates. Spin operators are the standard S=1
-matrices in the |+1>, |0>, |-1> basis; the zero-field eigenvalues are then
-{-2D/3, D/3 - E, D/3 + E}.
+defect frame (z = major axis), plus the Zeeman term b.S with
+b = g * (muB/h) * B the field in defect coordinates, in MHz. Spin operators
+are the standard S=1 matrices in the |+1>, |0>, |-1> basis; the zero-field
+eigenvalues are then {-2D/3, D/3 - E, D/3 + E}.
+
+The ODMR lines come in closed form (O. K. Smith, CACM 4, 168 (1961)). The
+Hamiltonian is traceless, so its eigenvalues are the roots of
+lambda^3 - p*lambda - q with the two invariants
+
+    p = tr(H^2)/2 = D^2/3 + E^2 + |b|^2
+    q = det H     = -2D^3/27 + D*(b_z^2 - |b|^2/3 + 2E^2/3) + E*(b_x^2 - b_y^2).
+
+With psi = arccos((q/2)(3/p)^(3/2))/3 in [0, pi/3] the three lines are
+2*sqrt(p)*{sin(psi), sin(pi/3 - psi), sin(pi/3 + psi)}: sines, so no
+difference of nearly equal eigenvalues cancels digits. Near a double root
+the arccos loses precision, so a field whose smallest line falls below
+1e-3 * 2*sqrt(p) takes its lines from eigvalsh of the Hamiltonian instead.
+The closed form then agrees with eigvalsh to 2e-12 MHz on sweeps at
+D ~ 1.1 GHz, and to 2e-10 MHz over random D in [-3, 3] GHz with E and B down
+to 0 (the worst rows sit just above the guard).
 """
 from dataclasses import dataclass, field, replace
 
@@ -77,7 +93,7 @@ class OdmrLineSet:
 
 def build_hamiltonian(p: ZfsParams, b: FieldVec) -> np.ndarray:
     """3x3 Hermitian spin Hamiltonian in MHz for field b (crystal frame)."""
-    return _batched_hamiltonian(p.D, p.E, p.g, p.axes, b.B[None])[0]
+    return _batched_hamiltonian(p.D, p.E, _defect_field(p.g, p.axes, b.B[None]))[0]
 
 
 def zero_field_lines(p: ZfsParams) -> OdmrLineSet:
@@ -87,29 +103,61 @@ def zero_field_lines(p: ZfsParams) -> OdmrLineSet:
 
 def transition_frequencies(p: ZfsParams, b: FieldVec) -> OdmrLineSet:
     """Pairwise eigenvalue differences of the spin Hamiltonian, ascending."""
-    return OdmrLineSet(_batched_lines(p.D, p.E, p.g, p.axes, b.B[None])[0])
+    return OdmrLineSet(_batched_lines(p.D, p.E, _defect_field(p.g, p.axes, b.B[None]))[0])
 
 
-def _batched_hamiltonian(D, E, g, axes, b_vectors):
-    """Spin Hamiltonians in MHz for a stack of crystal-frame fields, (n, 3, 3)."""
-    b_def = b_vectors @ axes.T  # field components along the defect axes
-    gam = g * MU_B_MHZ_PER_G
+def _defect_field(g, axes, b_vectors):
+    """Zeeman fields g*(muB/h)*B along the defect axes in MHz, (n, 3), for a
+    stack of crystal-frame fields in Gauss."""
+    return (g * MU_B_MHZ_PER_G) * (b_vectors @ axes.T)
+
+
+def _batched_hamiltonian(D, E, b):
+    """Spin Hamiltonians in MHz for a stack of defect-frame Zeeman fields, (n, 3, 3)."""
     hz = D * (SPIN1_Z @ SPIN1_Z - (2.0 / 3.0) * SPIN1_ID) + E * (
         SPIN1_X @ SPIN1_X - SPIN1_Y @ SPIN1_Y
     )
     return (
         hz[None, :, :]
-        + gam * b_def[:, 0, None, None] * SPIN1_X
-        + gam * b_def[:, 1, None, None] * SPIN1_Y
-        + gam * b_def[:, 2, None, None] * SPIN1_Z
+        + b[:, 0, None, None] * SPIN1_X
+        + b[:, 1, None, None] * SPIN1_Y
+        + b[:, 2, None, None] * SPIN1_Z
     )
 
 
-def _batched_lines(D, E, g, axes, b_vectors):
-    """Sorted transition frequencies for a stack of field vectors, (n, 3)."""
-    ev = np.linalg.eigvalsh(_batched_hamiltonian(D, E, g, axes, b_vectors))
-    lines = np.stack([ev[:, 1] - ev[:, 0], ev[:, 2] - ev[:, 1], ev[:, 2] - ev[:, 0]], axis=1)
+# A smallest line below this fraction of 2*sqrt(p) marks a near double root,
+# where the arccos of the closed form loses digits.
+_NEAR_DOUBLE_ROOT = 1e-3
+# sin(psi + k*pi/3), k = 0, 1, 2, are the lines over 2*sqrt(p); the last
+# equals sin(pi/3 - psi)
+_THIRDS = np.array([0.0, np.pi / 3.0, 2.0 * np.pi / 3.0])
+
+
+def _batched_lines(D, E, b):
+    """Sorted transition frequencies for a stack of defect-frame Zeeman fields,
+    (n, 3): the closed form of the module docstring, with eigvalsh for rows
+    near a double root or past the float range."""
+    # p and q are affine in the squared field components
+    weights = np.array([[1.0, E - D / 3.0], [1.0, -E - D / 3.0], [1.0, 2.0 * D / 3.0]])
+    # NaN (p = 0: every line is 0) and a clipped +-1 (q past the float
+    # range) put a row under the guard below, as does p**1.5 past that range
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        pq = (b * b) @ weights
+        p = pq[:, 0] + (D * D / 3.0 + E * E)
+        q = pq[:, 1] + (2.0 * D * E * E / 3.0 - 2.0 * D * D * D / 27.0)
+        p32 = p**1.5
+        cos3psi = q * (0.5 * 3.0**1.5) / p32
+    psi = np.arccos(np.clip(cos3psi, -1.0, 1.0)) / 3.0
+    lines = np.sin(psi[:, None] + _THIRDS)
     lines.sort(axis=1)
+    near = ~(lines[:, 0] >= _NEAR_DOUBLE_ROOT) | (p32 == np.inf)
+    lines *= 2.0 * np.sqrt(p)[:, None]
+    if near.any():
+        ev = np.linalg.eigvalsh(_batched_hamiltonian(D, E, b[near]))
+        exact = np.stack([ev[:, 1] - ev[:, 0], ev[:, 2] - ev[:, 1], ev[:, 2] - ev[:, 0]],
+                         axis=1)
+        exact.sort(axis=1)
+        lines[near] = exact
     return lines
 
 
@@ -194,7 +242,7 @@ def angular_sweep(p: ZfsParams, magnitude, plane_normal, angles_deg,
         orientations = [p.axes]
     lines = np.empty((len(orientations), angles_deg.size, 3))
     for i, axes in enumerate(orientations):
-        lines[i] = _batched_lines(p.D, p.E, p.g, _check_axes(axes), b_vectors)
+        lines[i] = _batched_lines(p.D, p.E, _defect_field(p.g, _check_axes(axes), b_vectors))
     return SweepTable(
         angles_deg=angles_deg,
         orientation_axes=list(orientations),
@@ -269,7 +317,7 @@ def fit_odmr(observed, init: ZfsParams, magnitude, plane_normal=(0, 0, 1),
     rank[order] = np.arange(len(obs)) - (np.cumsum(count) - count)[at[order]]
     size = count[at]
     rows = np.arange(len(obs))
-    nearest = (size == 1) | (size > 3)
+    nearest = np.flatnonzero((size == 1) | (size > 3))
     pairs = order[size[order] == 2]
     lo, hi = pairs[0::2], pairs[1::2]  # lower and upper line of each pair
     branch = np.where(size == 3, rank, 0)
@@ -282,24 +330,29 @@ def fit_odmr(observed, init: ZfsParams, magnitude, plane_normal=(0, 0, 1),
     names = tuple(names)
 
     def axes_for(theta):
-        axes = init.axes
-        rot = np.eye(3)
-        idx = 2
+        """init.axes turned by the free frame angles theta[2:]."""
+        rot = None
         if fit_orientation:
-            rot = rotation_matrix(init.axes[1], theta[idx + 1]) @ rotation_matrix(
-                init.axes[0], theta[idx]
+            rot = rotation_matrix(init.axes[1], theta[3]) @ rotation_matrix(
+                init.axes[0], theta[2]
             )
-            idx += 2
         if fit_tilt:
-            rot = rotation_matrix(init.axes[2], theta[idx]) @ rot
-        return axes @ rot.T
+            tilt = rotation_matrix(init.axes[2], theta[-1])
+            rot = tilt if rot is None else tilt @ rot
+        return init.axes if rot is None else init.axes @ rot.T
+
+    # with no frame angle free, the defect-frame field is the same for every theta
+    b_fixed = None if fit_orientation or fit_tilt else _defect_field(
+        init.g, init.axes, b_vectors)
 
     def residuals(theta):
-        lines = _batched_lines(theta[0], theta[1], init.g, axes_for(theta), b_vectors)
+        b = b_fixed if b_fixed is not None else _defect_field(
+            init.g, axes_for(theta), b_vectors)
+        lines = _batched_lines(theta[0], theta[1], b)
         d = freqs[:, None] - lines[at]
         w = d / sigma[:, None]
         branch[nearest] = np.argmin(np.abs(d[nearest]), axis=1)
-        cost = w[lo][:, _PAIRS[:, 0]] ** 2 + w[hi][:, _PAIRS[:, 1]] ** 2
+        cost = w[lo[:, None], _PAIRS[:, 0]] ** 2 + w[hi[:, None], _PAIRS[:, 1]] ** 2
         branch[lo], branch[hi] = _PAIRS[np.argmin(cost, axis=1)].T
         return w[rows, branch]
 

@@ -506,6 +506,17 @@ class TestCliUsageErrors:
                      "--out", str(tmp_path / out)]) == 2
         assert f"cannot use --out {tmp_path / out}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("blocked", ["band.txt", "manifest.json"])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, blocked):
+        # an output path that is a directory is a usage error naming the file
+        out = tmp_path / "o"
+        (out / blocked).mkdir(parents=True)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"S": 2, "i1": {"gaussians": [{"center_mev": 60, "sigma_mev": 10}]}}))
+        assert main(["psb-synth", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"{out / blocked}: cannot write" in capsys.readouterr().err
+
     def test_non_finite_table_row_exits_2(self, tmp_path, capsys):
         from defectkit.spin_hamiltonian import ZfsParams, angular_sweep
         truth = ZfsParams(D=1135.0, E=139.0)

@@ -547,7 +547,13 @@ class TestZeroWidthRefused:
                                                    cutoff_mev=1e300), "grid would exceed"),
         (lambda i1, zpl: smooth_and_taper(i1.band, 100.0, smooth_bins=102),
          "smooth_bins 102 exceeds the 101 points"),
-    ], ids=["n_max-1e300", "cutoff-1e300", "smooth-bins-past-cutoff"])
+        # n_max and the grid each within their caps: 1000 passes over 2^19 + 1
+        # frequencies ran 7 s at 296 MB before the series work was capped
+        (lambda i1, zpl: synthesize_band(
+            gaussian_mixture_i1(np.random.default_rng(0), n=1000, cutoff=1000.0), 2.0, zpl,
+            n_max=1000), "Poisson series would exceed"),
+    ], ids=["n_max-1e300", "cutoff-1e300", "smooth-bins-past-cutoff",
+            "series-work-n_max-1000-cutoff-1000"])
     def test_oversized_request_refused(self, run, message):
         # refused before anything of that size is allocated
         i1 = gaussian_mixture_i1(np.random.default_rng(0), n=100, cutoff=100.0)

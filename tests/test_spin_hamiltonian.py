@@ -107,6 +107,69 @@ class TestTransitionFrequencies:
         assert abs(f[2] - f[0] - f[1]) < 1e-9
 
 
+def eigvalsh_lines(p, b):
+    """Ascending pairwise differences of eigvalsh(build_hamiltonian)."""
+    ev = np.linalg.eigvalsh(build_hamiltonian(p, b))
+    return np.sort([ev[1] - ev[0], ev[2] - ev[1], ev[2] - ev[0]])
+
+
+class TestClosedFormLines:
+    """The lines from the invariants p and q against eigvalsh."""
+
+    @pytest.mark.parametrize("case", ["generic", "E=0", "B=0", "D=E=0"])
+    def test_random_cases_match_eigvalsh(self, case):
+        rng = np.random.default_rng(["generic", "E=0", "B=0", "D=E=0"].index(case))
+        for _ in range(200):
+            D, E = rng.uniform(-3000.0, 3000.0), rng.uniform(0.0, 500.0)
+            if case == "E=0":
+                E = 0.0
+            if case == "D=E=0":
+                D, E = 0.0, 0.0
+            axes = rotation_matrix(rng.normal(size=3), rng.uniform(0.0, 2 * np.pi))
+            p = ZfsParams(D=D, E=E, g=rng.uniform(1.9, 2.1), axes=axes)
+            b = rng.normal(size=3) * rng.uniform(0.0, 500.0)
+            b = FieldVec(np.zeros(3) if case == "B=0" else b)
+            got = transition_frequencies(p, b).frequencies
+            assert np.max(np.abs(got - eigvalsh_lines(p, b))) < 1e-9
+            assert abs(got[2] - got[0] - got[1]) < 1e-9
+
+    @pytest.mark.parametrize("D, E, b, guarded", [
+        (1135.0, 139.0, [40.0, 65.0, -10.0], False),
+        (1135.0, 0.0, [0.0, 0.0, 0.0], True),  # lines 0, D, D: a double root
+        (1135.0, 1e-4, [0.0, 0.0, 0.0], True),
+        (1135.0, 0.0, [0.0, 0.0, 120.0], False),
+        (1e300, 0.0, [1.0, 0.0, 0.0], True),  # D^2 past the float range
+        (1135.0, 139.0, [1e103, 2e102, 1e102], True),  # p^1.5 past it, q not
+    ], ids=["generic", "axial-zero-field", "near-axial-zero-field", "axial-field-along-z",
+            "overflowing-D", "overflowing-p"])
+    def test_guard_near_double_root(self, monkeypatch, D, E, b, guarded):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(h):
+            calls.append(h.shape)
+            return eigvalsh(h)
+
+        p = ZfsParams(D=D, E=E)
+        want = eigvalsh_lines(p, FieldVec(b))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        got = transition_frequencies(p, FieldVec(b)).frequencies
+        assert bool(calls) == guarded
+        assert np.max(np.abs(got - want)) <= 1e-9 * max(1.0, want[2])
+        assert abs(got[2] - got[0] - got[1]) <= 1e-9 * max(1.0, got[2])
+
+    def test_sweep_matches_eigvalsh(self):
+        p = ZfsParams(D=1135.0, E=139.0)
+        angles = np.linspace(0.0, 180.0, 361)
+        table = angular_sweep(p, 150.0, [0, 0, 1], angles, orientations=orientation_family())
+        u, v = plane_basis([0, 0, 1])
+        for k, axes in enumerate(orientation_family()):
+            pk = ZfsParams(D=p.D, E=p.E, axes=axes)
+            for j, a in enumerate(np.deg2rad(angles[::20])):
+                b = FieldVec(150.0 * (np.cos(a) * u + np.sin(a) * v))
+                assert np.max(np.abs(table.lines[k, 20 * j] - eigvalsh_lines(pk, b))) < 1e-9
+
+
 class TestFrameCovariance:
     def test_joint_rotation_leaves_spectrum(self):
         rng = np.random.default_rng(3)
