@@ -97,8 +97,10 @@ def build_hamiltonian(p: ZfsParams, b: FieldVec) -> np.ndarray:
 
 
 def zero_field_lines(p: ZfsParams) -> OdmrLineSet:
-    """Zero-field ODMR line pattern {2E, D-E, D+E} sorted ascending."""
-    return OdmrLineSet(np.sort([2.0 * p.E, p.D - p.E, p.D + p.E]))
+    """Zero-field ODMR line pattern {2E, |D|-E, |D|+E} sorted ascending: the
+    differences of the levels -2D/3 and D/3 -+ E for D of either sign."""
+    d = abs(p.D)
+    return OdmrLineSet(np.sort([2.0 * p.E, abs(d - p.E), d + p.E]))
 
 
 def transition_frequencies(p: ZfsParams, b: FieldVec) -> OdmrLineSet:

@@ -256,6 +256,15 @@ class TestCliOdmrSim:
         lines = read_table(out / "zero_field_lines.txt", 1)
         assert np.allclose(lines.ravel(), [278.0, 996.0, 1274.0], atol=0.5)
 
+    def test_negative_d_zero_field_lines(self, tmp_path):
+        # an oblate ZFS (D < 0) has the same zero-field lines as |D|
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"D": -1135.0, "E": 139.0}))
+        out = tmp_path / "run"
+        assert main(["odmr-sim", "--config", str(cfg), "--out", str(out)]) == 0
+        lines = read_table(out / "zero_field_lines.txt", 1)
+        assert np.allclose(lines.ravel(), [278.0, 996.0, 1274.0], atol=0.5)
+
     def test_sweep_with_family(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
@@ -671,18 +680,32 @@ class TestCliNonFiniteOutput:
 
 
 class TestCliImport:
-    def test_import_leaves_scipy_signal_out(self):
-        # scipy is most of a CLI start; critical_point_report (scipy.signal),
-        # fit_g2 (scipy.optimize) and g2_numeric (scipy.linalg) import it
-        # when called
+    @staticmethod
+    def loaded_scipy_modules(code):
         import defectkit
         src = Path(defectkit.__file__).resolve().parents[1]
         env = dict(os.environ, PYTHONPATH=str(src))
-        code = ("import sys, defectkit.cli; print([m for m in "
-                "('scipy.signal', 'scipy.optimize', 'scipy.linalg') if m in sys.modules])")
+        code += ("\nimport sys; print([m for m in ('scipy', 'scipy.signal', "
+                 "'scipy.optimize', 'scipy.linalg') if m in sys.modules])")
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "[]"
+        return out.stdout.strip()
+
+    def test_import_leaves_scipy_signal_out(self):
+        # scipy is most of a CLI start; only fit_g2 (scipy.optimize) and
+        # g2_numeric (scipy.linalg) import it, when called
+        assert self.loaded_scipy_modules("import defectkit.cli") == "[]"
+
+    def test_critical_point_report_leaves_scipy_out(self):
+        # the psb pipelines find their peaks with psb._find_peaks, not scipy.signal
+        code = ("import numpy as np\n"
+                "from defectkit.psb import SpectralBand, critical_point_report\n"
+                "grid = 0.5 * np.arange(200)\n"
+                "band = SpectralBand(grid, np.exp(-0.5 * ((grid - 60) / 9) ** 2)\n"
+                "                    + 0.5 * np.exp(-0.5 * ((grid - 90) / 5) ** 2))\n"
+                "report = critical_point_report(band, band, cutoff_mev=168.0)\n"
+                "assert len(report.peaks) == 2")
+        assert self.loaded_scipy_modules(code) == "[]"
 
 
 class TestCliPowerSweep:

@@ -3,8 +3,10 @@ from math import factorial
 import numpy as np
 import pytest
 
-from defectkit.errors import InvalidParameterError
+from defectkit.errors import DivergenceError, InvalidParameterError
 from defectkit.psb import (
+    _find_peaks,
+    _poisson_series,
     OnePhononBand,
     SpectralBand,
     ZplShape,
@@ -567,3 +569,110 @@ class TestPoissonHelpers:
             n = poisson_n_max(s)
             assert poisson_truncation_bound(s, n) < 1e-8
             assert poisson_truncation_bound(s, n - 1) >= 1e-8
+
+
+def assert_peaks_match(x, min_prominence):
+    """_find_peaks against scipy.signal.find_peaks, indices and prominence bits."""
+    from scipy.signal import find_peaks
+
+    want, props = find_peaks(x, prominence=min_prominence)
+    got, prominences = _find_peaks(x, min_prominence)
+    assert np.array_equal(got, want)
+    assert np.array_equal(prominences.view(np.uint64),
+                          props["prominences"].view(np.uint64))
+
+
+class TestFindPeaksOracle:
+    @pytest.mark.parametrize("x", [
+        [], [1.0], [1.0, 2.0], [2.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 1.0],
+        [0.0, 1.0, 1.0, 0.0], [0.0, 1.0, 1.0, 1.0, 0.0],
+        [3.0, 3.0, 1.0, 2.0, 0.0], [0.0, 2.0, 1.0, 3.0, 3.0],
+        [3.0, 3.0, 3.0, 1.0, 2.0, 2.0, 0.0, 4.0, 4.0, 4.0, 4.0],
+        [0.0, 3.0, 3.0, 1.0, 3.0, 3.0, 3.0, 0.0, 2.0, 2.0, 1.0, 2.0, 0.0],
+        [0.0, 5.0, 1.0, 4.0, 2.0, 3.0, 2.5, 3.0, 0.0],
+        [10.0, -5.0, 9.0, 0.0, 5.0, 3.0],
+        [0.0] * 9, [2.5] * 9,
+    ], ids=lambda x: "_".join(f"{v:g}" for v in x) or "empty")
+    def test_plateaus_edges_and_short_arrays(self, x):
+        x = np.array(x, dtype=float)
+        for m in (0.0, 0.5, 1.0, 2.0):
+            assert_peaks_match(x, m)
+
+    @pytest.mark.parametrize("seed, kind", enumerate(
+        ["normal", "plateaus", "steps", "noisy-gaussian"]))
+    def test_random_arrays(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        for trial in range(200):
+            n = int(rng.integers(0, 40)) if trial % 2 else int(rng.integers(0, 3000))
+            if kind == "normal":
+                x = rng.normal(size=n)
+            elif kind == "plateaus":
+                x = rng.integers(0, 4, size=n).astype(float)
+            elif kind == "steps":
+                x = np.repeat(rng.normal(size=n), rng.integers(1, 5, size=n))[:n]
+            else:
+                t = np.arange(n)
+                x = np.exp(-0.5 * ((t - n / 2) / (n / 8 + 1)) ** 2)
+                x += 1e-3 * rng.normal(size=n)
+            for m in (0.0, 0.05 * x.max(initial=0.0), 0.5 * np.ptp(x) if n else 1.0):
+                assert_peaks_match(x, m)
+
+    @pytest.mark.parametrize("s", [0.5, 2.0, 4.5])
+    def test_noisy_deconvolved_bands(self, s):
+        rng = np.random.default_rng(int(10 * s))
+        i1 = gaussian_mixture_i1(rng, n=672)
+        zpl = ZplShape.delta(i1.band.spacing)
+        band = synthesize_band(i1, s, zpl)
+        noise = 1e-3 * band.values[1:].max() * rng.normal(size=band.values.size)
+        noisy = SpectralBand(band.grid, np.clip(band.values + noise, 0, None)).normalized()
+        raw = direct_fourier_deconvolve(noisy, s, zpl)
+        smoothed = smooth_and_taper(raw.band)
+        try:
+            out, _ = iterative_deconvolve(noisy, s, zpl, smoothed, max_iter=10)
+        except DivergenceError as err:
+            out = err.best_iterate
+        for vals in (raw.values, smoothed.values, out.values):
+            for frac in (0.0, 0.01, 0.05):
+                assert_peaks_match(vals, frac * vals.max())
+
+
+def reference_series(i1_values, s, n_max, n_fft, d):
+    """The Horner loop _poisson_series evaluates in place, as first written."""
+    x = s * d * np.fft.rfft(i1_values, n_fft)
+    series = 1.0
+    for n in range(n_max, 0, -1):
+        series = 1.0 + x / n * series
+    return x, series
+
+
+class TestPoissonSeriesBits:
+    # The in-place series equals the reference loop only while numpy's complex
+    # division by a real and its complex multiply round as they do here; the
+    # CI floor job (Python 3.10, numpy 1.24) runs these tests for that reason.
+    # n_fft 2^15 and up puts x (2^14 + 1 complex values) past numpy's 256 KiB
+    # threshold for eliding temporaries, which reorders some products.
+    @pytest.mark.parametrize("log2_n_fft", range(4, 19))
+    def test_matches_reference_loop_bit_for_bit(self, log2_n_fft):
+        n_fft = 1 << log2_n_fft
+        rng = np.random.default_rng(log2_n_fft)
+        d = 0.25
+        i1 = rng.uniform(size=max(n_fft // 3, 2))
+        i1 /= i1.sum() * d
+        for n_max in (1, 2, 17, 60):
+            want = reference_series(i1, 3.7, n_max, n_fft, d)
+            got = _poisson_series(i1, 3.7, n_max, n_fft, d)
+            for a, b in zip(got, want):
+                assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+    @pytest.mark.parametrize("s", [1e300, 1e308])
+    def test_non_finite_in_the_same_places(self, s):
+        # S = 1e300 is the huge-S refusal of psb-synth; 1e308 overflows x itself
+        rng = np.random.default_rng(1)
+        i1 = rng.uniform(size=300)
+        with np.errstate(all="ignore"):
+            want = reference_series(i1, s, 60, 1024, 0.25)
+            got = _poisson_series(i1, s, 60, 1024, 0.25)
+        assert not np.all(np.isfinite(want[1]))
+        for a, b in zip(got, want):
+            assert np.array_equal(np.isfinite(a.view(float)), np.isfinite(b.view(float)))
+

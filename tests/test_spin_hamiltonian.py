@@ -81,6 +81,18 @@ class TestZeroFieldLines:
         lines = zero_field_lines(ZfsParams(D=1135.0, E=139.0)).frequencies
         assert abs(lines[2] - lines[0] - lines[1]) < 1e-9
 
+    @pytest.mark.parametrize("D, E", [
+        (1135.0, 139.0), (-1135.0, 139.0), (-777.0, 0.0), (-300.0, 250.0),
+        (200.0, 400.0), (-200.0, 400.0), (0.0, 50.0),
+    ])
+    def test_matches_eigenvalues_for_either_sign_of_d(self, D, E):
+        # the lines are differences of the levels -2D/3 and D/3 -+ E; a
+        # negative D (oblate ZFS) once gave negative "lines" and a refusal
+        p = ZfsParams(D=D, E=E)
+        got = zero_field_lines(p).frequencies
+        assert np.allclose(got, transition_frequencies(p, B0).frequencies, atol=1e-9)
+        assert got[0] >= 0.0
+
 
 class TestTransitionFrequencies:
     def test_matches_zero_field(self):
