@@ -19,8 +19,8 @@ HC_EV_NM = 1239.841984
 HC_J_NM = H_PLANCK_J_S * C_LIGHT_M_S * 1e9  # J * nm
 
 # Highest phonon energy of the diamond lattice (meV). The one-phonon band of
-# a defect in diamond is supported below this cutoff; overridable everywhere
-# it is consumed.
+# a defect in diamond is supported below this cutoff; it is the default of
+# every psb cutoff and of the CLI's cutoff_mev.
 DIAMOND_PHONON_CUTOFF_MEV = 168.0
 
 # Dipolar spin-spin prefactor 3*mu0*g^2*muB^2/(16*pi*h) in MHz*nm^3, for

@@ -21,9 +21,7 @@ restricted characters match: in C2v x ~ A1, z ~ B1, y ~ B2.
 
 One labeling wrinkle: a1' = c3 + c4 is conventionally listed under A2, but
 its characters are (+,+,+), i.e. a second A1 (which is also what the
-HOMO/LUMO classification demands). mo_basis reports the conventional label
-and carries the character-derived irrep separately; all classification uses
-the latter.
+HOMO/LUMO classification demands). All classification uses the characters.
 """
 import warnings
 from dataclasses import dataclass, field
@@ -75,22 +73,6 @@ def point_group(name) -> PointGroup:
     raise InvalidParameterError("point group must be C2v or C1h")
 
 
-@dataclass(frozen=True)
-class MolecularOrbital:
-    """A symmetrized MO over the four dangling orbitals.
-
-    coefficients are the unnormalized +-1 combinations; listed_irrep is the
-    label by the listing convention, irrep the character-derived
-    one actually used for products and selection rules (they differ only
-    for a1').
-    """
-
-    label: str
-    coefficients: tuple
-    listed_irrep: str
-    irrep: str
-
-
 # permutation action of (C2(x), sigma(xz), sigma(xy)) on (c1, c2, c3, c4)
 _OPS = ((1, 0, 3, 2), (0, 1, 3, 2), (1, 0, 2, 3))
 
@@ -109,30 +91,13 @@ def _characters(coeffs):
     return tuple(chars)
 
 
-# label: (coefficients, listed irrep)
+# label: coefficients over (c1, c2, c3, c4)
 _MO_TABLE = {
-    "a1": ((1, 1, 0, 0), "A1"),
-    "a1'": ((0, 0, 1, 1), "A2"),  # listed label; characters give A1
-    "b1": ((1, -1, 0, 0), "B1"),
-    "b2": ((0, 0, 1, -1), "B2"),
+    "a1": (1, 1, 0, 0),
+    "a1'": (0, 0, 1, 1),  # listed under A2 by convention; its characters give A1
+    "b1": (1, -1, 0, 0),
+    "b2": (0, 0, 1, -1),
 }
-
-
-def mo_basis(group: PointGroup):
-    """The four symmetrized MOs with their irrep labels for the group.
-
-    For C1h both the listed and character labels are descended through
-    A1,B1 -> A' and A2,B2 -> A''.
-    """
-    return {
-        label: MolecularOrbital(
-            label=label,
-            coefficients=coeffs,
-            listed_irrep=group.label(C2V.characters[listed]),
-            irrep=group.label(_characters(coeffs)),
-        )
-        for label, (coeffs, listed) in _MO_TABLE.items()
-    }
 
 
 def dipole_selection(excited_irrep, group: PointGroup):
@@ -241,26 +206,25 @@ class DipoleEstimate:
 def _pair(homo_label, lumo_label):
     """Coefficients of two MOs and the characters of their product state."""
     try:
-        ca, cb = (np.asarray(_MO_TABLE[label][0], dtype=float)
+        ca, cb = (np.asarray(_MO_TABLE[label], dtype=float)
                   for label in (homo_label, lumo_label))
     except KeyError as err:
         raise InvalidParameterError(f"unknown MO label {err}") from None
     return ca, cb, tuple(a * b for a, b in zip(_characters(ca), _characters(cb)))
 
 
-def dipole_estimate(homo, lumo, geom: VacancyGeometry,
-                    group: PointGroup = C2V) -> DipoleEstimate:
+def dipole_estimate(homo, lumo, geom: VacancyGeometry) -> DipoleEstimate:
     """Estimate <homo|d|lumo> from the atomic-orbital expansion.
 
     On-site terms use the orbital centroids with inter-orbital overlap
     neglected; when they cancel, the overlap terms are retained with a
     point charge at the bond midpoint and unit overlap integral (so the
     magnitude is an order-of-magnitude scale only, but the direction is
-    fixed by symmetry). Symmetry-forbidden pairs return the zero vector
+    fixed by symmetry). Pairs forbidden in C2v return the zero vector
     flagged forbidden.
     """
     ca, cb, excited = _pair(homo, lumo)
-    if not dipole_selection(group.label(excited), group):
+    if not dipole_selection(C2V.label(excited), C2V):
         return DipoleEstimate(np.zeros(3), 0.0, order="zero", forbidden=True)
     d = (ca * cb) @ geom.mean_positions
     order = "onsite"

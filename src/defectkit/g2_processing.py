@@ -10,9 +10,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, InvalidParameterError
+from .errors import ConvergenceError, FitDegenerateError, InvalidParameterError
 
 _UNIFORM_TOL = 1e-9
+
+# The largest |g2| fit_g2 takes. A corrected g2 has its plateau at 1; a curve
+# past this comes from a wrong n1, n2, bin width, accumulation time, rho or
+# count, and from about 1e54 on it drove the fit into LAPACK errors.
+MAX_G2 = 1e6
 
 
 @dataclass(frozen=True)
@@ -60,24 +65,6 @@ def background_correct(cn, rho) -> np.ndarray:
         raise InvalidParameterError("rho must be in (0, 1]")
     cn = np.asarray(cn, dtype=float)
     return (cn - (1.0 - rho**2)) / rho**2
-
-
-def estimate_background_ratio(tau_ns, cn, dip_window_ns=2.0):
-    """Estimate rho from the zero-delay dip, assuming perfect antibunching.
-
-    With g2(0) = 0 the normalized curve dips to the plateau times
-    (1 - rho^2); the plateau is taken from the long-delay tail. Auxiliary
-    plumbing only; rho is normally a measured input.
-    """
-    tau_ns = np.asarray(tau_ns, dtype=float)
-    cn = np.asarray(cn, dtype=float)
-    tail = cn[tau_ns > 0.9 * tau_ns.max()]
-    plateau = float(np.mean(tail)) if tail.size else float(cn[-1])
-    dip = float(np.min(cn[np.abs(tau_ns) <= dip_window_ns]))
-    ratio = 1.0 - dip / plateau
-    if not 0.0 < ratio <= 1.0:
-        raise InvalidParameterError("curve admits no rho in (0, 1]")
-    return float(np.sqrt(ratio))
 
 
 @dataclass(frozen=True)
@@ -136,12 +123,13 @@ def fit_g2(tau_ns, values, n_exp=4, counts=None, init_taus=None,
     the default initialization (log-spaced time constants spanning the data
     range, amplitudes from linear least squares at fixed taus).
 
+    A curve beyond MAX_G2 in magnitude, or not finite, is refused.
     Four-exponential fits are only identifiable when the delay grid spans
     at least about three decades; a narrower span triggers a warning, as
-    does a Jacobian condition number above 1e12.
+    does a Jacobian condition number above 1e12. A collapsed component (a
+    time constant far below the bin width, whose Jacobian column is zero or
+    makes the condition infinite) raises FitDegenerateError.
     """
-    from scipy.optimize import least_squares
-
     tau_ns = np.asarray(tau_ns, dtype=float)
     values = np.asarray(values, dtype=float)
     keep = tau_ns >= 0
@@ -153,6 +141,13 @@ def fit_g2(tau_ns, values, n_exp=4, counts=None, init_taus=None,
     pos = tau_ns[tau_ns > 0]
     if pos.size == 0:
         raise InvalidParameterError("delay grid has no positive delays")
+    out_of_range = ~(np.abs(values) <= MAX_G2)
+    if out_of_range.any():
+        i = np.argmax(out_of_range)
+        raise InvalidParameterError(
+            f"g2 is {values[i]:.3g} at {tau_ns[i]:.3g} ns, beyond the {MAX_G2:g} a "
+            "normalized, background-corrected curve can reach: check n1, n2, the bin "
+            "width, the accumulation time, rho and the counts")
     if n_exp >= 4 and pos.max() / pos.min() < 1e3:
         warnings.warn(
             "delay grid spans fewer than 3 decades; 4-exponential fit may be "
@@ -194,6 +189,8 @@ def fit_g2(tau_ns, values, n_exp=4, counts=None, init_taus=None,
         model = 1.0 - _model_matrix(tau_ns, taus) @ alpha
         return (model - values) * sqw
 
+    from scipy.optimize import least_squares
+
     init_rms = None
     sol = None
     for x0 in (np.log(s) for s in starts):
@@ -218,6 +215,14 @@ def fit_g2(tau_ns, values, n_exp=4, counts=None, init_taus=None,
     j_tau = -(alphas[None, :] * phi * (tau_ns[:, None] / taus[None, :] ** 2))
     jac = np.hstack([j_alpha, j_tau]) * sqw[:, None]
     cond = float(np.linalg.cond(jac))
+    # the smallest tau column is that of the most collapsed component
+    col = np.linalg.norm(jac[:, n_exp:], axis=0)
+    k = int(np.argmin(col))
+    if col[k] == 0.0 or not np.isfinite(cond):
+        raise FitDegenerateError(
+            f"g2 fit component collapsed: its Jacobian column vanishes at tau = "
+            f"{taus[k]:.3g} ns, against a bin width of {pos.min():.3g} ns (the first "
+            "nonzero delay); fit fewer exponentials")
     if cond > 1e12:
         warnings.warn(
             "ill-conditioned Jacobian (condition > 1e12): fit parameters are "

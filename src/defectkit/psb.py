@@ -156,7 +156,6 @@ class OnePhononBand:
 
     band: SpectralBand
     cutoff_mev: float = DIAMOND_PHONON_CUTOFF_MEV
-    huang_rhys: float | None = None
 
     def __post_init__(self):
         b = self.band
@@ -186,57 +185,14 @@ def _check_spacing(band, d):
         raise InvalidParameterError("bands must share one grid spacing")
 
 
-def convolve_bands(f, g, method="fft") -> SpectralBand:
-    """Linear convolution of two bands, (f (x) g)(w) = int f(w-x) g(x) dx.
-
-    method "fft" zero-pads to a power-of-two length (numpy.fft) so the
-    result is the linear, not circular, convolution; "direct" is the O(N^2)
-    sliding sum kept as an independent cross-check.
-    """
-    f, g = _as_band(f), _as_band(g)
-    d = f.spacing
-    _check_spacing(g, d)
-    n = f.values.size + g.values.size - 1
-    if method == "fft":
-        n_fft = 1 << (n - 1).bit_length()
-        vals = np.fft.irfft(np.fft.rfft(f.values, n_fft)
-                            * np.fft.rfft(g.values, n_fft), n_fft)[:n] * d
-    elif method == "direct":
-        vals = np.zeros(n)
-        for j, gj in enumerate(g.values):
-            if gj != 0.0:
-                vals[j:j + f.values.size] += f.values * gj
-        vals *= d
-    else:
-        raise InvalidParameterError('method must be "fft" or "direct"')
-    start = f.start_index + g.start_index
-    grid = d * np.arange(start, start + vals.size)
-    return SpectralBand(grid, vals)
-
-
-def n_phonon_bands(i1: OnePhononBand, n_max, method="fft"):
-    """The bands I1..In_max from successive self-convolutions of I1.
-
-    Each In keeps unit norm (rectangle-rule convolution is exactly
-    norm-preserving) and is supported on [0, n*cutoff]; the mean phonon
-    energy grows linearly with n.
-    """
-    if n_max < 1:
-        raise InvalidParameterError("n_max must be >= 1")
-    bands = [_as_band(i1)]
-    for _ in range(2, n_max + 1):
-        bands.append(convolve_bands(bands[-1], i1, method=method))
-    return bands
-
-
-def poisson_n_max(s, tol=1e-8):
-    """Smallest truncation order with Poisson tail sum below tol."""
+def poisson_n_max(s):
+    """Smallest truncation order with Poisson tail sum below 1e-8."""
     if s < 0:
         raise InvalidParameterError("Huang-Rhys factor must be >= 0")
     term = np.exp(-s)
     tail = 1.0 - term
     n = 0
-    while tail >= tol and n < 400:
+    while tail >= 1e-8 and n < 400:
         n += 1
         term *= s / n
         tail -= term
@@ -375,8 +331,7 @@ def direct_fourier_deconvolve(band: SpectralBand, s, i0: ZplShape,
     n_keep = _window_points(cutoff_mev, d)
     vals = np.clip(i1_buf[:n_keep], 0.0, None)
     grid = d * np.arange(n_keep)
-    return OnePhononBand(SpectralBand(grid, vals).normalized(),
-                         cutoff_mev=cutoff_mev, huang_rhys=s)
+    return OnePhononBand(SpectralBand(grid, vals).normalized(), cutoff_mev=cutoff_mev)
 
 
 def _window(values, start_index, n):
@@ -432,8 +387,7 @@ def _l2(values, d):
 
 
 def iterative_deconvolve(band: SpectralBand, s, i0: ZplShape,
-                         i1_init: OnePhononBand, max_iter=50, tol=1e-6,
-                         cutoff_mev=None, n_max=None):
+                         i1_init: OnePhononBand, max_iter=50, tol=1e-6):
     """Refine a one-phonon estimate by iterative series subtraction.
 
     Each pass subtracts the multi-phonon remainder of the current iterate,
@@ -441,7 +395,8 @@ def iterative_deconvolve(band: SpectralBand, s, i0: ZplShape,
 
         I1_new = exp(S) I - I0 - sum_{n>=2} S^n/n! I0 (x) In,
 
-    then clips the result to [0, cutoff], drops negatives and renormalizes.
+    then clips the result to [0, cutoff], drops negatives and renormalizes;
+    the cutoff is i1_init's and the series stops at poisson_n_max(S).
     One Fourier-domain Poisson series (see synthesize_band) is evaluated per
     iterate: the series of a pass's update gives that pass's resynthesis
     and, less its n<=1 terms, the remainder the next pass subtracts.
@@ -450,10 +405,7 @@ def iterative_deconvolve(band: SpectralBand, s, i0: ZplShape,
     resynthesis residual grows three passes in a row. Returns the final
     OnePhononBand and a ConvergenceTrace.
     """
-    if cutoff_mev is None:
-        cutoff_mev = i1_init.cutoff_mev
-    if n_max is None:
-        n_max = poisson_n_max(s)
+    cutoff_mev, n_max = i1_init.cutoff_mev, poisson_n_max(s)
     if tol <= 0:
         raise InvalidParameterError("tol must be positive")
     d = band.spacing
@@ -516,20 +468,18 @@ def iterative_deconvolve(band: SpectralBand, s, i0: ZplShape,
         if step < tol:
             trace.converged = True
             break
-    return OnePhononBand(SpectralBand(grid, current), cutoff_mev=cutoff_mev,
-                         huang_rhys=s), trace
+    return OnePhononBand(SpectralBand(grid, current), cutoff_mev=cutoff_mev), trace
 
 
-def bandshape_from_emission(emission: SpectralBand, omega0_mev,
-                            margin_mev=5.0) -> SpectralBand:
+def bandshape_from_emission(emission: SpectralBand, omega0_mev) -> SpectralBand:
     """Turn an emission spectrum into the bandshape in phonon energy.
 
     The emission axis is photon energy; the bandshape is I_em at phonon
     energy w = omega0 - E divided by the cube of the photon energy (the
     spontaneous-emission frequency factor), renormalized to unit area. The
     ZPL position is snapped to the nearest grid point so the phonon-energy
-    grid stays on spacing multiples; a margin of negative phonon energies is
-    kept to hold the ZPL's own linewidth.
+    grid stays on spacing multiples; a 5 meV margin of negative phonon
+    energies is kept to hold the ZPL's own linewidth.
     """
     if not emission.grid[0] <= omega0_mev <= emission.grid[-1]:
         raise InvalidParameterError("omega0 lies outside the emission grid")
@@ -542,7 +492,7 @@ def bandshape_from_emission(emission: SpectralBand, omega0_mev,
     # convolution index arithmetic downstream
     phonon = d * np.round((omega0 - emission.grid[::-1]) / d)
     vals = (emission.values / emission.grid**3)[::-1]
-    keep = phonon >= -margin_mev - 1e-9 * d
+    keep = phonon >= -5.0 - 1e-9 * d
     band = SpectralBand(phonon[keep], vals[keep])
     return band.normalized()
 
@@ -625,17 +575,18 @@ class CriticalPointReport:
     overlay: np.ndarray  # columns: energy, band (unit max), dos (unit max)
 
 
-def critical_point_report(i1, dos: SpectralBand, cutoff_mev=None) -> CriticalPointReport:
+def critical_point_report(i1, dos: SpectralBand) -> CriticalPointReport:
     """Locate one-phonon features and compare them with the phonon DOS.
 
     i1 may be a OnePhononBand or a raw SpectralBand estimate that still
-    carries weight above the cutoff. Peaks are local maxima with prominence
-    above 5% of the band maximum, each paired with the nearest DOS maximum.
+    carries weight above the cutoff (the OnePhononBand's cutoff, and
+    DIAMOND_PHONON_CUTOFF_MEV for a SpectralBand). Peaks are local maxima
+    with prominence above 5% of the band maximum, each paired with the
+    nearest DOS maximum.
     Band weight above the cutoff beyond 1% raises the local-mode flag
     (coupling to a quasi-local vibration rather than the lattice continuum).
     """
-    if cutoff_mev is None:
-        cutoff_mev = getattr(i1, "cutoff_mev", DIAMOND_PHONON_CUTOFF_MEV)
+    cutoff_mev = getattr(i1, "cutoff_mev", DIAMOND_PHONON_CUTOFF_MEV)
     band = _as_band(i1)
     vals = band.values
     idx, prominences = _find_peaks(vals, 0.05 * vals.max())

@@ -73,10 +73,6 @@ class FieldVec:
     def __post_init__(self):
         object.__setattr__(self, "B", np.asarray(self.B, dtype=float).reshape(3))
 
-    @property
-    def magnitude(self):
-        return float(np.linalg.norm(self.B))
-
 
 @dataclass(frozen=True)
 class OdmrLineSet:
@@ -89,11 +85,6 @@ class OdmrLineSet:
         if np.any(f < -1e-9) or np.any(np.diff(f) < -1e-9):
             raise InvalidParameterError("line frequencies must be >= 0 and ascending")
         object.__setattr__(self, "frequencies", f)
-
-
-def build_hamiltonian(p: ZfsParams, b: FieldVec) -> np.ndarray:
-    """3x3 Hermitian spin Hamiltonian in MHz for field b (crystal frame)."""
-    return _batched_hamiltonian(p.D, p.E, _defect_field(p.g, p.axes, b.B[None]))[0]
 
 
 def zero_field_lines(p: ZfsParams) -> OdmrLineSet:
@@ -219,10 +210,7 @@ class SweepTable:
     """
 
     angles_deg: np.ndarray
-    orientation_axes: list
     lines: np.ndarray
-    magnitude_g: float
-    plane_normal: np.ndarray
 
 
 def angular_sweep(p: ZfsParams, magnitude, plane_normal, angles_deg,
@@ -245,13 +233,7 @@ def angular_sweep(p: ZfsParams, magnitude, plane_normal, angles_deg,
     lines = np.empty((len(orientations), angles_deg.size, 3))
     for i, axes in enumerate(orientations):
         lines[i] = _batched_lines(p.D, p.E, _defect_field(p.g, _check_axes(axes), b_vectors))
-    return SweepTable(
-        angles_deg=angles_deg,
-        orientation_axes=list(orientations),
-        lines=lines,
-        magnitude_g=float(magnitude),
-        plane_normal=np.asarray(plane_normal, dtype=float),
-    )
+    return SweepTable(angles_deg=angles_deg, lines=lines)
 
 
 # order-preserving branch pairs for two lines at one angle

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -648,12 +649,6 @@ class TestCliNonFiniteOutput:
         band = synthesize_band(OnePhononBand(SpectralBand(grid, i1).normalized(),
                                              cutoff_mev=100.0), 1.0, ZplShape.delta(1.0))
         write_table(root / "band.txt", [band.grid, band.values], ["energy_meV", "intensity"])
-        tau = np.arange(0.0, 8000.0, 16.0)
-        counts = 1e5 * (1.0 - 0.8 * np.exp(-tau / 20.0) + 0.3 * np.exp(-tau / 500.0))
-        write_table(root / "hist.txt", [tau, counts], ["tau_ns", "counts"])
-        Path(root / "hist.txt.json").write_text(json.dumps(
-            {"n1": 1e4, "n2": 1e4, "bin_width_ns": 16.0, "accumulation_time_s": 62.5,
-             "rho": 0.9}))
 
     @pytest.mark.parametrize("pipeline, config, output", [
         ("psb-synth", {"S": 1e300, "i1": {"gaussians": [{"center_mev": 60,
@@ -662,9 +657,7 @@ class TestCliNonFiniteOutput:
         ("psb-deconvolve", {"band": "band.txt", "S": 1e300, "spacing_mev": 1.0,
                             "cutoff_mev": 100.0, "max_iter": 3},
          "one_phonon_band.txt"),
-        ("g2-fit", {"data": "hist.txt", "n_exp": 2, "units": {"bin_width_ns": 1e300}},
-         "g2_fit.json"),
-    ], ids=["psb-synth-huge-S", "psb-deconvolve-huge-S", "g2-fit-huge-bin-width"])
+    ], ids=["psb-synth-huge-S", "psb-deconvolve-huge-S"])
     def test_non_finite_result_exits_1(self, tmp_path, capsys, monkeypatch, pipeline,
                                        config, output):
         self._inputs(tmp_path)
@@ -677,6 +670,66 @@ class TestCliNonFiniteOutput:
         assert code == 1
         assert f"{output}: not written" in capsys.readouterr().err
         assert sorted(p.name for p in out.iterdir()) == []
+
+
+def _g2_histogram(root, first_count=None, **sidecar):
+    """hist.txt with its sidecar: 500 bins of 16 ns, counts near 1e5 (the first
+    one replaced by first_count if given), sidecar keys overridden by sidecar."""
+    tau = np.arange(0.0, 8000.0, 16.0)
+    counts = 1e5 * (1.0 - 0.8 * np.exp(-tau / 20.0) + 0.3 * np.exp(-tau / 500.0))
+    if first_count is not None:
+        counts[0] = first_count
+    write_table(root / "hist.txt", [tau, counts], ["tau_ns", "counts"])
+    (root / "hist.txt.json").write_text(json.dumps(dict(
+        {"n1": 1e4, "n2": 1e4, "bin_width_ns": 16.0, "accumulation_time_s": 62.5,
+         "rho": 0.9}, **sidecar)))
+
+
+class TestCliG2Refusals:
+    """Histograms fit_g2 cannot fit are refused with a message naming the cause."""
+
+    def _run(self, root, capfd, monkeypatch, config):
+        monkeypatch.chdir(root)
+        (root / "cfg.json").write_text(json.dumps(dict({"data": "hist.txt"}, **config)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = main(["g2-fit", "--config", "cfg.json", "--out", "run"])
+        out, err = capfd.readouterr()
+        assert "Traceback" not in err and "DLASCL" not in out + err  # LAPACK's complaint
+        assert not (root / "run" / "g2_fit.json").exists()
+        return code, err
+
+    @pytest.mark.parametrize("first_count, sidecar, config", [
+        (None, {"n1": 1e-300}, {}),
+        (None, {"accumulation_time_s": 1e-300}, {}),
+        (1e300, {}, {}),
+        (None, {}, {"rho": 1e-300}),
+    ], ids=["n1-1e-300", "accumulation-time-1e-300", "zero-delay-count-1e300",
+            "rho-1e-300"])
+    def test_out_of_range_curve_exits_2(self, tmp_path, capfd, monkeypatch,
+                                        first_count, sidecar, config):
+        # these used to end in a LinAlgError (or ValueError) traceback from the fit
+        _g2_histogram(tmp_path, first_count, **sidecar)
+        code, err = self._run(tmp_path, capfd, monkeypatch, dict({"n_exp": 2}, **config))
+        assert code == 2
+        assert "beyond the 1e+06 a normalized, background-corrected curve can reach" in err
+
+    @pytest.mark.parametrize("first_count, config", [
+        (1e6, {"n_exp": 3}),
+        (None, {"n_exp": 2, "units": {"bin_width_ns": 1e300}}),
+    ], ids=["zero-delay-spike", "huge-bin-width"])
+    def test_collapsed_component_exits_1(self, tmp_path, capfd, monkeypatch,
+                                         first_count, config):
+        # a component far shorter than the 16 ns bins (about 1e-5 and 1e-7 ns):
+        # its Jacobian column is zero, and the fit used to be written (spike) or
+        # to fail on an infinite jacobian_condition with a message naming no
+        # fit problem
+        _g2_histogram(tmp_path, first_count)
+        code, err = self._run(tmp_path, capfd, monkeypatch, config)
+        assert code == 1
+        found = re.search(r"g2 fit component collapsed: its Jacobian column vanishes at "
+                          r"tau = (\S+) ns, against a bin width of 16 ns", err)
+        assert found and float(found.group(1)) < 16.0 / 745  # exp(-16 ns/tau) is 0
 
 
 class TestCliImport:
@@ -703,7 +756,7 @@ class TestCliImport:
                 "grid = 0.5 * np.arange(200)\n"
                 "band = SpectralBand(grid, np.exp(-0.5 * ((grid - 60) / 9) ** 2)\n"
                 "                    + 0.5 * np.exp(-0.5 * ((grid - 90) / 5) ** 2))\n"
-                "report = critical_point_report(band, band, cutoff_mev=168.0)\n"
+                "report = critical_point_report(band, band)\n"
                 "assert len(report.peaks) == 2")
         assert self.loaded_scipy_modules(code) == "[]"
 

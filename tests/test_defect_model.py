@@ -5,12 +5,13 @@ from defectkit.errors import InvalidParameterError, SingularGeometryError
 from defectkit.defect_model import (
     C1H,
     C2V,
+    _MO_TABLE,
     VacancyGeometry,
+    _characters,
     candidate_filter,
     classify_pairs,
     dipole_estimate,
     dipole_selection,
-    mo_basis,
     point_group,
     principal_axes,
     spinspin_tensor,
@@ -19,35 +20,32 @@ from defectkit.defect_model import (
 )
 
 
+# the conventional irrep listing of the four MOs
+LISTED = {"a1": "A1", "a1'": "A2", "b1": "B1", "b2": "B2"}
+
+
 class TestMoBasis:
     def test_c2v_listed_labels(self):
-        basis = mo_basis(C2V)
-        assert basis["a1"].listed_irrep == "A1"
-        assert basis["a1'"].listed_irrep == "A2"  # the conventional label
-        assert basis["b1"].listed_irrep == "B1"
-        assert basis["b2"].listed_irrep == "B2"
+        # the characters follow the listing for all MOs but a1'
+        differ = [label for label, coeffs in _MO_TABLE.items()
+                  if C2V.label(_characters(coeffs)) != LISTED[label]]
+        assert differ == ["a1'"]
 
     def test_character_derived_irreps(self):
         # c3 + c4 is even under every group operation: a second A1
-        basis = mo_basis(C2V)
-        assert basis["a1"].irrep == "A1"
-        assert basis["a1'"].irrep == "A1"
-        assert basis["b1"].irrep == "B1"
-        assert basis["b2"].irrep == "B2"
+        labels = {label: C2V.label(_characters(c)) for label, c in _MO_TABLE.items()}
+        assert labels == {"a1": "A1", "a1'": "A1", "b1": "B1", "b2": "B2"}
 
     def test_c1h_descent_of_listed_labels(self):
-        basis = mo_basis(C1H)
-        listed = sorted(mo.listed_irrep for mo in basis.values())
+        # restriction to C1h: A1, B1 -> A' and A2, B2 -> A''
+        listed = sorted(C1H.label(C2V.characters[irrep]) for irrep in LISTED.values())
         assert listed == ["A'", "A'", "A''", "A''"]
 
     def test_orthogonality(self):
-        basis = mo_basis(C2V)
-        mos = list(basis.values())
+        mos = [np.asarray(c) for c in _MO_TABLE.values()]
         for i in range(4):
             for j in range(i + 1, 4):
-                ci = np.asarray(mos[i].coefficients)
-                cj = np.asarray(mos[j].coefficients)
-                assert ci @ cj == 0
+                assert mos[i] @ mos[j] == 0
 
     def test_unknown_group(self):
         with pytest.raises(InvalidParameterError):
@@ -98,7 +96,7 @@ class TestDipoleEstimate:
         assert est.order == "onsite"
 
     def test_b1_b2_forbidden_in_c2v(self):
-        est = dipole_estimate("b1", "b2", self.geom, group=C2V)
+        est = dipole_estimate("b1", "b2", self.geom)
         assert est.forbidden
         assert est.magnitude == 0.0
 
@@ -108,9 +106,8 @@ MO_LABELS = ("a1", "a1'", "b1", "b2")
 
 def _spinspin_loop(homo, lumo, geom, covariance_mode):
     """spinspin_tensor as a plain double loop over the ordered orbital pairs."""
-    basis = mo_basis(C2V)
-    ca = np.asarray(basis[homo].coefficients, dtype=float)
-    cb = np.asarray(basis[lumo].coefficients, dtype=float)
+    ca = np.asarray(_MO_TABLE[homo], dtype=float)
+    cb = np.asarray(_MO_TABLE[lumo], dtype=float)
     out = np.zeros((3, 3))
     for i in range(4):
         for j in range(4):

@@ -6,7 +6,6 @@ from defectkit.g2_processing import (
     CoincidenceHistogram,
     G2Fit,
     background_correct,
-    estimate_background_ratio,
     fit_g2,
     normalize,
 )
@@ -74,16 +73,6 @@ class TestBackgroundCorrect:
         h = make_histogram(counts, w_ns=w, t_s=t, n1=n1, n2=n2)
         back = background_correct(normalize(h), rho)
         assert np.max(np.abs(back - g2)) < 1e-12
-
-
-class TestEstimateBackgroundRatio:
-    def test_recovers_planted_rho(self):
-        tau = np.linspace(0.0, 5000.0, 2001)
-        g2 = 1.0 - np.exp(-tau / 15.0)
-        for rho in (0.6, 0.85, 1.0):
-            cn = rho**2 * g2 + (1 - rho**2)
-            got = estimate_background_ratio(tau, cn, dip_window_ns=1.0)
-            assert abs(got - rho) < 1e-3
 
 
 def four_exp_curve(tau, alphas, taus):
