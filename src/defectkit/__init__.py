@@ -10,13 +10,3 @@ Submodules:
 """
 
 __version__ = "0.1.0"
-
-from . import (  # noqa: F401
-    constants,
-    datasets,
-    defect_model,
-    g2_processing,
-    photodynamics,
-    psb,
-    spin_hamiltonian,
-)

@@ -1,14 +1,14 @@
 """Command-line pipelines tying the analysis modules together.
 
-Every run takes a JSON config, writes its outputs into --out and drops a
-manifest.json recording the command, input digests, parameters, tool version
-and output list. Outputs are deterministic for identical inputs; the
+Every run takes a JSON config. Its pipeline returns {file name: content}, and
+main writes that into --out with a manifest.json recording the command, input
+digests, parameters, tool version and output list; a run that fails before
+then writes nothing. Outputs are deterministic for identical inputs; the
 timestamp lives only in the manifest. Exit codes: 0 success, 1 analysis
 failure (non-convergence and friends), 2 usage or schema errors.
 """
 import argparse
 import json
-import math
 import sys
 import time
 from dataclasses import MISSING, asdict, fields
@@ -18,7 +18,8 @@ import numpy as np
 
 from . import __version__
 from . import defect_model, g2_processing, photodynamics, psb, spin_hamiltonian
-from .datasets import DatasetDescriptor, ingest, sha256_of, write_json, write_table
+from .constants import DEFAULT_SPACING_MEV, DIAMOND_PHONON_CUTOFF_MEV
+from .datasets import DatasetDescriptor, finite, ingest, sha256_of, write_outputs
 from .errors import DefectKitError, InvalidParameterError, SchemaError
 
 PIPELINES = {}
@@ -57,42 +58,28 @@ def _cfg(config, key, default=KeyError, kind=None):
         raise SchemaError(f"config key {key!r}: invalid value {value!r}") from None
 
 
-def _finite(value):
-    """float(value), refusing booleans, NaN and infinities also when spelled as text.
-
-    Every number the config supplies, in JSON or as a string, goes through
-    this one conversion.
-    """
-    if isinstance(value, bool):
-        raise TypeError(f"{value!r} is not a number")
-    number = float(value)
-    if not math.isfinite(number):
-        raise ValueError(f"non-finite number {value}")
-    return number
-
-
 def _read_json(path):
     """A JSON file with non-finite numbers refused; any failure is a SchemaError."""
     try:
         return json.loads(Path(path).read_text(),
-                          parse_float=_finite, parse_constant=_finite)
+                          parse_float=finite, parse_constant=finite)
     except (OSError, ValueError) as err:
         raise SchemaError(f"cannot read {path}: {err}") from None
 
 
 def _floats(value):
-    """A number or nested lists of numbers as a float array, each through _finite."""
+    """A number or nested lists of numbers as a float array, each through finite."""
     items = np.array(value, dtype=object)  # keeps each JSON value, booleans too
-    return np.array([_finite(v) for v in items.ravel()]).reshape(items.shape)
+    return np.array([finite(v) for v in items.ravel()]).reshape(items.shape)
 
 
 def _float_pair(value):
-    lo, hi = map(_finite, value)
+    lo, hi = map(finite, value)
     return lo, hi
 
 
 def _positive(value):
-    number = _finite(value)
+    number = finite(value)
     if number <= 0:
         raise ValueError(f"{value} is not positive")
     return number
@@ -100,7 +87,7 @@ def _positive(value):
 
 def _count(value):
     """A whole number in [1, MAX_COUNT]; booleans and fractions are refused."""
-    number = _finite(value)
+    number = finite(value)
     if not number.is_integer() or not 1 <= number <= MAX_COUNT:
         raise ValueError(f"{value} is not a count in [1, {MAX_COUNT}]")
     return int(number)
@@ -154,26 +141,26 @@ def _ingest(inputs, path, kind, units=None):
 def _zfs_from_config(config, key="init"):
     spec = _cfg(config, key, {}) if key else config
     return spin_hamiltonian.ZfsParams(
-        D=_cfg(spec, "D", kind=_finite),
-        E=_cfg(spec, "E", kind=_finite),
-        g=_cfg(spec, "g", 2.0, _finite),
+        D=_cfg(spec, "D", kind=finite),
+        E=_cfg(spec, "E", kind=finite),
+        g=_cfg(spec, "g", 2.0, finite),
         axes=_cfg(spec, "axes", np.eye(3), _floats),
     )
 
 
 @_pipeline("odmr-sim")
-def run_odmr_sim(config, outdir, inputs):
+def run_odmr_sim(config, inputs):
     p = _zfs_from_config(config, key=None)
     lines = spin_hamiltonian.zero_field_lines(p)
-    write_table(outdir / "zero_field_lines.txt", [lines.frequencies], ["freq_MHz"])
+    outputs = {"zero_field_lines.txt": ([lines.frequencies], ["freq_MHz"])}
     sweep_cfg = _cfg(config, "sweep", None)
     if not sweep_cfg:
-        return ["zero_field_lines.txt"]
+        return outputs
     angles = _cfg(sweep_cfg, "angles_deg")
     if isinstance(angles, list):
         angles = _cfg(sweep_cfg, "angles_deg", kind=_floats)
     else:
-        angles = _spaced(angles, np.linspace, _finite)
+        angles = _spaced(angles, np.linspace, finite)
     orientations = _cfg(sweep_cfg, "orientations", "single")
     if orientations == "110-family":
         triads = spin_hamiltonian.orientation_family()
@@ -183,27 +170,26 @@ def run_odmr_sim(config, outdir, inputs):
         triads = _cfg(sweep_cfg, "orientations", kind=_triads)
     table = spin_hamiltonian.angular_sweep(
         p,
-        magnitude=_cfg(sweep_cfg, "magnitude_G", kind=_finite),
+        magnitude=_cfg(sweep_cfg, "magnitude_G", kind=finite),
         plane_normal=_cfg(sweep_cfg, "plane_normal", [0, 0, 1], _floats),
         angles_deg=angles,
         orientations=triads,
     )
     n_or, n_ang = table.lines.shape[:2]
-    write_table(
-        outdir / "sweep.txt",
+    outputs["sweep.txt"] = (
         [np.repeat(np.arange(n_or), n_ang), np.tile(table.angles_deg, n_or),
          *table.lines.reshape(-1, 3).T],
         ["orientation", "angle_deg", "f1_MHz", "f2_MHz", "f3_MHz"],
     )
-    return ["zero_field_lines.txt", "sweep.txt"]
+    return outputs
 
 
 @_pipeline("odmr-fit")
-def run_odmr_fit(config, outdir, inputs):
+def run_odmr_fit(config, inputs):
     data_path = _cfg(config, "data", kind=str)
     options = dict(
         init=_zfs_from_config(config, key="init"),
-        magnitude=_cfg(config, "magnitude_G", kind=_finite),
+        magnitude=_cfg(config, "magnitude_G", kind=finite),
         plane_normal=_cfg(config, "plane_normal", [0, 0, 1], _floats),
         fit_orientation=_cfg(config, "fit_orientation", False, _switch),
         fit_tilt=_cfg(config, "fit_tilt", False, _switch),
@@ -211,29 +197,27 @@ def run_odmr_fit(config, outdir, inputs):
     observed = _ingest(inputs, data_path, "odmr_table")
     result = spin_hamiltonian.fit_odmr(observed, **options)
     errs = np.sqrt(np.clip(np.diag(result.covariance), 0.0, None))
-    write_json(outdir / "odmr_fit.json", {
-        "D_MHz": result.params.D,
-        "E_MHz": result.params.E,
-        "param_names": list(result.param_names),
-        "param_sigma": errs.tolist(),
-        "axes": result.params.axes.tolist(),
-        "rms_MHz": result.rms_mhz,
-        "n_iter": result.n_iter,
-    })
-    write_table(
-        outdir / "odmr_residuals.txt",
-        [observed[:, 0], observed[:, 1], result.residuals],
-        ["angle_deg", "freq_MHz", "residual_MHz"],
-    )
-    return ["odmr_fit.json", "odmr_residuals.txt"]
+    return {
+        "odmr_fit.json": {
+            "D_MHz": result.params.D,
+            "E_MHz": result.params.E,
+            "param_names": list(result.param_names),
+            "param_sigma": errs.tolist(),
+            "axes": result.params.axes.tolist(),
+            "rms_MHz": result.rms_mhz,
+            "n_iter": result.n_iter,
+        },
+        "odmr_residuals.txt": ([observed[:, 0], observed[:, 1], result.residuals],
+                               ["angle_deg", "freq_MHz", "residual_MHz"]),
+    }
 
 
 @_pipeline("g2-fit")
-def run_g2_fit(config, outdir, inputs):
+def run_g2_fit(config, inputs):
     n_exp = _cfg(config, "n_exp", 4, _count)
     hist, rho = _ingest(inputs, _cfg(config, "data", kind=str), "g2_histogram",
                         _cfg(config, "units", None, _section))
-    rho = _cfg(config, "rho", rho, _finite)
+    rho = _cfg(config, "rho", rho, finite)
     curve = g2_processing.background_correct(g2_processing.normalize(hist), rho)
     result = g2_processing.fit_g2(
         hist.bin_centers,
@@ -242,7 +226,7 @@ def run_g2_fit(config, outdir, inputs):
         counts=hist.counts,
         rho=rho,
     )
-    write_json(outdir / "g2_fit.json", {
+    return {"g2_fit.json": {
         "alphas": result.fit.alphas.tolist(),
         "taus_ns": result.fit.taus.tolist(),
         "rho": result.fit.rho,
@@ -250,12 +234,11 @@ def run_g2_fit(config, outdir, inputs):
         "tau_sigma_ns": result.tau_err.tolist(),
         "residual_rms": result.residual_rms,
         "jacobian_condition": result.jacobian_condition,
-    })
-    return ["g2_fit.json"]
+    }}
 
 
 @_pipeline("rates-extract")
-def run_rates_extract(config, outdir, inputs):
+def run_rates_extract(config, inputs):
     fit_path = _cfg(config, "fit_file", None, str)
     if fit_path is not None:
         inputs.append(fit_path)
@@ -265,40 +248,38 @@ def run_rates_extract(config, outdir, inputs):
     fit = g2_processing.G2Fit(
         alphas=_cfg(payload, "alphas", kind=_floats),
         taus=_cfg(payload, "taus_ns", kind=_floats),
-        rho=_cfg(payload, "rho", 1.0, _finite),
+        rho=_cfg(payload, "rho", 1.0, finite),
     )
     rates = photodynamics.extract_rates(
         fit,
-        detected=_cfg(config, "detected_rate", kind=_finite),
-        eta=_cfg(config, "eta", kind=_finite),
+        detected=_cfg(config, "detected_rate", kind=finite),
+        eta=_cfg(config, "eta", kind=finite),
     )
-    write_json(outdir / "rates.json", asdict(rates))
-    return ["rates.json"]
+    return {"rates.json": asdict(rates)}
 
 
 @_pipeline("power-sweep")
-def run_power_sweep(config, outdir, inputs):
-    rates = _cfg(config, "rates")  # each rate through _finite, required unless defaulted
+def run_power_sweep(config, inputs):
+    rates = _cfg(config, "rates")  # each rate through finite, required unless defaulted
     base = photodynamics.RateParams(**{
-        f.name: _cfg(rates, f.name, KeyError if f.default is MISSING else f.default, _finite)
+        f.name: _cfg(rates, f.name, KeyError if f.default is MISSING else f.default, finite)
         for f in fields(photodynamics.RateParams)})
     powers = _cfg(config, "powers_w", None, _floats)
     if powers is None:
         powers = _spaced(_cfg(config, "powers"), np.geomspace, _positive)
     points = photodynamics.power_sweep_model(
         base,
-        sigma_cm2=_cfg(config, "sigma_cm2", kind=_finite),
-        beta=_cfg(config, "beta", 0.0, _finite),
+        sigma_cm2=_cfg(config, "sigma_cm2", kind=finite),
+        beta=_cfg(config, "beta", 0.0, finite),
         powers_w=powers,
-        wavelength_nm=_cfg(config, "wavelength_nm", kind=_finite),
-        focal_area_cm2=_cfg(config, "focal_area_cm2", kind=_finite),
+        wavelength_nm=_cfg(config, "wavelength_nm", kind=finite),
+        focal_area_cm2=_cfg(config, "focal_area_cm2", kind=finite),
         driven=_cfg(config, "driven", "plus"),
     )
-    write_table(outdir / "power_sweep.txt",
-                [[getattr(p, name) for p in points]
-                 for name in ("power_w", "k_ex", "k_isc", "fluorescence", "contrast")],
-                ["power_W", "kex", "kisc", "counts", "contrast"])
-    return ["power_sweep.txt"]
+    return {"power_sweep.txt": (
+        [[getattr(p, name) for p in points]
+         for name in ("power_w", "k_ex", "k_isc", "fluorescence", "contrast")],
+        ["power_W", "kex", "kisc", "counts", "contrast"])}
 
 
 def _zpl_from_config(config, spacing):
@@ -307,13 +288,13 @@ def _zpl_from_config(config, spacing):
     if kind == "delta":
         return psb.ZplShape.delta(spacing)
     if kind == "gaussian":
-        return psb.ZplShape.gaussian(spacing, _cfg(spec, "sigma_mev", kind=_finite))
+        return psb.ZplShape.gaussian(spacing, _cfg(spec, "sigma_mev", kind=finite))
     raise SchemaError("zpl kind must be delta or gaussian")
 
 
 def _spacing_cutoff(config):
-    return (_cfg(config, "spacing_mev", 0.25, _finite),
-            _cfg(config, "cutoff_mev", psb.DIAMOND_PHONON_CUTOFF_MEV, _finite))
+    return (_cfg(config, "spacing_mev", DEFAULT_SPACING_MEV, finite),
+            _cfg(config, "cutoff_mev", DIAMOND_PHONON_CUTOFF_MEV, finite))
 
 
 def _i1_from_config(config, inputs):
@@ -326,35 +307,35 @@ def _i1_from_config(config, inputs):
     grid = psb.make_grid(0.0, cutoff, spacing)
     vals = np.zeros_like(grid)
     for g in _cfg(spec, "gaussians", kind=_list_of(_section)):
-        center = _cfg(g, "center_mev", kind=_finite)
+        center = _cfg(g, "center_mev", kind=finite)
         x = (grid - center) / _cfg(g, "sigma_mev", kind=_positive)
-        vals += _cfg(g, "weight", 1.0, _finite) * np.exp(-0.5 * x**2)
+        vals += _cfg(g, "weight", 1.0, finite) * np.exp(-0.5 * x**2)
     ramp = np.clip(grid / (4 * spacing), 0, 1) * np.clip((cutoff - grid) / (4 * spacing), 0, 1)
     band = psb.SpectralBand(grid, vals * ramp).normalized()
     return psb.OnePhononBand(band, cutoff_mev=cutoff), spacing, cutoff
 
 
 @_pipeline("psb-synth")
-def run_psb_synth(config, outdir, inputs):
+def run_psb_synth(config, inputs):
     i1, spacing, cutoff = _i1_from_config(config, inputs)
-    s = _cfg(config, "S", kind=_finite)
+    s = _cfg(config, "S", kind=finite)
     zpl = _zpl_from_config(config, spacing)
     n_max = _cfg(config, "n_max", None, _count) or psb.poisson_n_max(s)
     band = psb.synthesize_band(i1, s, zpl, n_max=n_max)
-    write_table(outdir / "band.txt", [band.grid, band.values],
-                ["energy_meV", "intensity"])
-    write_json(outdir / "synth.json", {
-        "S": s,
-        "n_max": n_max,
-        "truncation_bound": psb.poisson_truncation_bound(s, n_max),
-        "norm": band.integral(),
-        "zpl_weight": np.exp(-s),
-    })
-    return ["band.txt", "synth.json"]
+    return {
+        "band.txt": ([band.grid, band.values], ["energy_meV", "intensity"]),
+        "synth.json": {
+            "S": s,
+            "n_max": n_max,
+            "truncation_bound": psb.poisson_truncation_bound(s, n_max),
+            "norm": band.integral(),
+            "zpl_weight": np.exp(-s),
+        },
+    }
 
 
 @_pipeline("psb-deconvolve")
-def run_psb_deconvolve(config, outdir, inputs):
+def run_psb_deconvolve(config, inputs):
     spacing, cutoff = _spacing_cutoff(config)
     spectrum_path = _cfg(config, "spectrum", None, str)
     if spectrum_path is not None:
@@ -364,7 +345,7 @@ def run_psb_deconvolve(config, outdir, inputs):
     else:
         band = _ingest(inputs, _cfg(config, "band", kind=str), "dos_table",
                        {"spacing_mev": spacing}).normalized()
-    s = _cfg(config, "S", None, _finite)
+    s = _cfg(config, "S", None, finite)
     if s is None:
         s = psb.estimate_huang_rhys(band, _cfg(config, "zpl_window_mev", kind=_float_pair))
     zpl = _zpl_from_config(config, band.spacing)
@@ -372,44 +353,41 @@ def run_psb_deconvolve(config, outdir, inputs):
     smoothed = psb.smooth_and_taper(
         init.band, cutoff,
         smooth_bins=_cfg(config, "smooth_bins", 5, _count),
-        taper_fraction=_cfg(config, "taper_fraction", 0.1, _finite),
+        taper_fraction=_cfg(config, "taper_fraction", 0.1, finite),
     )
     i1, trace = psb.iterative_deconvolve(
         band, s, zpl, smoothed,
         max_iter=_cfg(config, "max_iter", 50, _count),
-        tol=_cfg(config, "tol", 1e-6, _finite),
+        tol=_cfg(config, "tol", 1e-6, finite),
     )
-    write_table(outdir / "one_phonon_band.txt", [i1.grid, i1.values],
-                ["energy_meV", "density"])
-    write_json(outdir / "convergence.json", {
-        "S": s,
-        "converged": trace.converged,
-        "n_iter": trace.n_iter,
-        "step_l2": trace.step_l2,
-        "resynthesis_l2": trace.resync_l2,
-    })
-    outputs = ["one_phonon_band.txt", "convergence.json"]
+    outputs = {
+        "one_phonon_band.txt": ([i1.grid, i1.values], ["energy_meV", "density"]),
+        "convergence.json": {
+            "S": s,
+            "converged": trace.converged,
+            "n_iter": trace.n_iter,
+            "step_l2": trace.step_l2,
+            "resynthesis_l2": trace.resync_l2,
+        },
+    }
     dos_path = _cfg(config, "dos", None, str)
     if dos_path is not None:
         report = psb.critical_point_report(i1, _ingest(inputs, dos_path, "dos_table"))
-        write_json(outdir / "critical_points.json", {
+        outputs["critical_points.json"] = {
             "peaks": [asdict(p) for p in report.peaks],
             "above_cutoff_fraction": report.above_cutoff_fraction,
             "local_mode_flag": report.local_mode_flag,
-        })
-        write_table(outdir / "overlay.txt",
-                    [report.overlay[:, 0], report.overlay[:, 1], report.overlay[:, 2]],
-                    ["energy_meV", "one_phonon", "dos"])
-        outputs += ["critical_points.json", "overlay.txt"]
+        }
+        outputs["overlay.txt"] = (report.overlay.T, ["energy_meV", "one_phonon", "dos"])
     return outputs
 
 
 @_pipeline("defect-classify")
-def run_defect_classify(config, outdir, inputs):
+def run_defect_classify(config, inputs):
     group = defect_model.point_group(_cfg(config, "group", "C2v"))
     geo_cfg = _cfg(config, "geometry", {})
-    delta = _cfg(geo_cfg, "delta", 0.0, _finite)
-    theta = _cfg(geo_cfg, "theta_deg", None, _finite)
+    delta = _cfg(geo_cfg, "delta", 0.0, finite)
+    theta = _cfg(geo_cfg, "theta_deg", None, finite)
     if theta is not None:
         geom = defect_model.VacancyGeometry.with_polar_angle(theta, delta=delta)
     else:
@@ -429,12 +407,6 @@ def run_defect_classify(config, outdir, inputs):
         str(n): [asdict(s) for s in defect_model.structure_shortlist(n)]
         for n in counts
     }
-    write_json(outdir / "classification.json", {
-        "group": group.name,
-        "pairs": [asdict(r) for r in records],
-        "consistent_pairs": [asdict(r) for r in selected],
-        "structures": structures,
-    })
     lines = [
         f"point group: {group.name}",
         "",
@@ -449,20 +421,15 @@ def run_defect_classify(config, outdir, inputs):
     for n, entries in structures.items():
         lines.append(f"{n}-electron structures: "
                      + ", ".join(f"{e['label']} ({e['symmetry']})" for e in entries))
-    (outdir / "classification.txt").write_text("\n".join(lines) + "\n")
-    return ["classification.json", "classification.txt"]
-
-
-def write_manifest(outdir, command, config, inputs, outputs):
-    manifest = {
-        "command": command,
-        "tool_version": __version__,
-        "parameters": config,
-        "inputs": {str(p): sha256_of(p) for p in inputs},
-        "outputs": sorted(outputs),
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+    return {
+        "classification.json": {
+            "group": group.name,
+            "pairs": [asdict(r) for r in records],
+            "consistent_pairs": [asdict(r) for r in selected],
+            "structures": structures,
+        },
+        "classification.txt": "\n".join(lines) + "\n",
     }
-    write_json(Path(outdir) / "manifest.json", manifest)
 
 
 def build_parser():
@@ -491,15 +458,20 @@ def main(argv=None):
             outdir.mkdir(parents=True, exist_ok=True)
         except OSError as err:
             raise SchemaError(f"cannot use --out {args.out}: {err}") from None
-        outputs = PIPELINES[args.pipeline](config, outdir, inputs)
-        write_manifest(outdir, args.pipeline, config, inputs, outputs)
-    except (SchemaError, InvalidParameterError) as err:
-        # malformed configs and data are usage problems, not analysis ones
-        print(f"defectkit: {args.pipeline}: {err}", file=sys.stderr)
-        return 2
+        outputs = PIPELINES[args.pipeline](config, inputs)
+        manifest = {
+            "command": args.pipeline,
+            "tool_version": __version__,
+            "parameters": config,
+            "inputs": {str(p): sha256_of(p) for p in inputs},
+            "outputs": sorted(outputs),
+            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+        }
+        write_outputs(outdir, {**outputs, "manifest.json": manifest})
     except DefectKitError as err:
         print(f"defectkit: {args.pipeline}: {err}", file=sys.stderr)
-        return 1
+        # malformed configs and data are usage problems, not analysis ones
+        return 2 if isinstance(err, (SchemaError, InvalidParameterError)) else 1
     return 0
 
 

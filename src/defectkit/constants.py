@@ -23,6 +23,9 @@ HC_J_NM = H_PLANCK_J_S * C_LIGHT_M_S * 1e9  # J * nm
 # every psb cutoff and of the CLI's cutoff_mev.
 DIAMOND_PHONON_CUTOFF_MEV = 168.0
 
+# Grid spacing (meV) of a band or spectrum whose input names none.
+DEFAULT_SPACING_MEV = 0.25
+
 # Dipolar spin-spin prefactor 3*mu0*g^2*muB^2/(16*pi*h) in MHz*nm^3, for
 # converting the dimensionless defect-molecule tensors to frequency units.
 _MU_0 = 1.25663706212e-6  # N/A^2

@@ -4,7 +4,7 @@ Input files are delimited text (whitespace or comma separated, '#' comments)
 with JSON sidecars for scalar metadata. Everything is converted to the
 toolkit's canonical units at this boundary: MHz, Gauss, ns, meV, cm^2.
 
-A table is read once and parsed on one of two paths. The fast path hands a
+A table is parsed on one of two paths. The fast path hands the path of a
 whitespace-separated table of printable ASCII to numpy's C parser
 (``np.loadtxt``) and keeps its result only if it is non-empty, finite and of
 an allowed width. Everything else (commas, other characters, a table the C
@@ -18,7 +18,6 @@ non-finite value is refused before any file is written, as it is in JSON
 output. A file that cannot be written is a SchemaError that names it.
 """
 import hashlib
-import io
 import json
 import logging
 import math
@@ -28,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .constants import HC_EV_NM
+from .constants import DEFAULT_SPACING_MEV, HC_EV_NM
 from .errors import DefectKitError, SchemaError
 from .g2_processing import CoincidenceHistogram
 from .psb import SpectralBand, make_grid
@@ -61,10 +60,20 @@ class DatasetDescriptor:
         return None
 
 
+def finite(value):
+    """float(value), refusing booleans, NaN and infinities also when spelled as text.
+
+    Every number from outside the program goes through this one conversion."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is not a number")
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"non-finite number {value}")
+    return number
+
+
 def sha256_of(path):
-    h = hashlib.sha256()
-    h.update(Path(path).read_bytes())
-    return h.hexdigest()
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def _read_text(path):
@@ -89,11 +98,14 @@ def read_table(path, min_cols, max_cols=None):
     if not path.exists():
         raise SchemaError(f"{path}: file does not exist")
     text = _read_text(path)
-    if text.isascii() and not text.encode("ascii").translate(None, _LOADTXT_BYTES):
+    # np.loadtxt reads a path in chunks, a file object line by line, and
+    # decompresses a path by its suffix
+    if (text.isascii() and not text.encode("ascii").translate(None, _LOADTXT_BYTES)
+            and path.suffix not in (".gz", ".bz2", ".xz", ".lzma")):
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # "no data"
-                data = np.loadtxt(io.StringIO(text), comments="#", ndmin=2, dtype=float)
+                data = np.loadtxt(str(path), comments="#", ndmin=2, dtype=float)
         except ValueError:
             pass
         else:
@@ -152,15 +164,13 @@ def _read_sidecar(desc, required):
 
 
 def _number(desc, meta, key, default=None):
-    """meta[key] (or default) as a finite float; errors name the key."""
+    """meta[key] (or default) through finite; errors name the key."""
     value = meta.get(key, default)
     try:
-        number = float(value)
+        return finite(value)
     except (TypeError, ValueError, OverflowError):
-        number = math.nan
-    if not math.isfinite(number):
-        raise SchemaError(f"{desc.path}: sidecar key {key!r}: invalid value {value!r}")
-    return number
+        raise SchemaError(
+            f"{desc.path}: sidecar key {key!r}: invalid value {value!r}") from None
 
 
 @dataclass
@@ -217,7 +227,7 @@ def ingest(desc: DatasetDescriptor):
         data = read_table(desc.path, 2)
         meta = _read_sidecar(desc, ["axis", "zpl"])
         axis = meta["axis"]
-        spacing = _number(desc, meta, "spacing_mev", 0.25)
+        spacing = _number(desc, meta, "spacing_mev", DEFAULT_SPACING_MEV)
         x, y = data[:, 0], data[:, 1]
         steps = np.diff(x)
         if not (np.all(steps > 0) or np.all(steps < 0)):
@@ -241,46 +251,53 @@ def ingest(desc: DatasetDescriptor):
     data = read_table(desc.path, 2)
     if np.any(np.diff(data[:, 0]) <= 0):
         raise SchemaError(f"{desc.path}: DOS energy axis must be ascending")
-    spacing = float((desc.units or {}).get("spacing_mev", 0.25))
+    spacing = _number(desc, desc.units or {}, "spacing_mev", DEFAULT_SPACING_MEV)
     band = _resample_uniform(data[:, 0], np.clip(data[:, 1], 0.0, None), spacing)
     log.info("dos_table %s: %d points", desc.path, band.grid.size)
     return band
 
 
-def write_table(path, columns, header):
-    """Write named columns as '#'-headed delimited text (plot-ready).
+def write_outputs(outdir, outputs):
+    """Write a pipeline's {file name: content} into outdir, formatting every file
+    first so that a non-finite value leaves none behind; errors name the file."""
+    paths = {name: Path(outdir) / name for name in outputs}
+    texts = {name: _text(paths[name], content) for name, content in outputs.items()}
+    for name, text in texts.items():
+        try:
+            paths[name].write_text(text)
+        except OSError as err:
+            raise SchemaError(f"{paths[name]}: cannot write: {err}") from None
 
-    A non-finite value is an analysis failure that names the file, and
-    nothing is written.
-    """
+
+def write_table(path, columns, header):
+    """Write named columns as '#'-headed delimited text (plot-ready)."""
+    write_outputs(Path(path).parent, {Path(path).name: (columns, header)})
+
+
+def write_json(path, payload):
+    """Deterministic JSON emission (sorted keys, fixed separators)."""
+    write_outputs(Path(path).parent, {Path(path).name: payload})
+
+
+def _text(path, content):
+    """A file's text: a dict as JSON, a (columns, header) pair as a table, a str
+    as it is. NaN and infinities have no spelling in either format: one is an
+    analysis failure that names the file."""
+    if isinstance(content, str):
+        return content
+    if isinstance(content, dict):
+        try:
+            return json.dumps(content, indent=2, sort_keys=True, default=_json_default,
+                              allow_nan=False) + "\n"
+        except ValueError as err:
+            raise DefectKitError(f"{path}: not written: {err}") from None
+    columns, header = content
     table = np.column_stack([np.asarray(c, dtype=float) for c in columns])
     if not np.isfinite(table).all():
         raise DefectKitError(f"{path}: not written: non-finite value in the table")
     row = "\t".join(["%.10g"] * table.shape[1]) + "\n"
     body = "".join([row] * len(table)) % tuple(table.ravel().tolist())
-    _write_text(path, "# " + "\t".join(header) + "\n" + body)
-
-
-def write_json(path, payload):
-    """Deterministic JSON emission (sorted keys, fixed separators).
-
-    NaN and infinities have no JSON spelling: a payload holding one is an
-    analysis failure that names the file, and nothing is written.
-    """
-    try:
-        text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default,
-                          allow_nan=False)
-    except ValueError as err:
-        raise DefectKitError(f"{path}: not written: {err}") from None
-    _write_text(path, text + "\n")
-
-
-def _write_text(path, text):
-    """Write a file; a path that cannot be written is a SchemaError."""
-    try:
-        Path(path).write_text(text)
-    except OSError as err:
-        raise SchemaError(f"{path}: cannot write: {err}") from None
+    return "# " + "\t".join(header) + "\n" + body
 
 
 def _json_default(obj):

@@ -95,7 +95,7 @@ class G2Fit:
 
     def evaluate(self, tau_ns):
         tau_ns = np.asarray(tau_ns, dtype=float)
-        return 1.0 - np.exp(-np.outer(tau_ns, 1.0 / self.taus)) @ self.alphas
+        return 1.0 - _model_matrix(tau_ns, self.taus) @ self.alphas
 
 
 @dataclass

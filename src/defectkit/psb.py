@@ -109,7 +109,7 @@ class SpectralBand:
         return SpectralBand(self.grid, self.values / norm)
 
 
-def make_grid(lo_mev, hi_mev, spacing_mev=0.25):
+def make_grid(lo_mev, hi_mev, spacing_mev):
     """Uniform grid on multiples of the spacing covering [lo, hi]."""
     if not spacing_mev > 0:
         raise InvalidParameterError("grid spacing must be positive")

@@ -181,6 +181,13 @@ def plane_basis(plane_normal):
     return u, v
 
 
+def _in_plane_field(magnitude, plane_normal, angles_deg):
+    """Crystal-frame fields (n, 3) of fixed magnitude at angles_deg from u toward v."""
+    u, v = plane_basis(plane_normal)
+    rad = np.deg2rad(angles_deg)
+    return magnitude * (np.outer(np.cos(rad), u) + np.outer(np.sin(rad), v))
+
+
 def orientation_family():
     """The six <110>-oriented defect frames as ZfsParams-ready axis triads.
 
@@ -225,9 +232,7 @@ def angular_sweep(p: ZfsParams, magnitude, plane_normal, angles_deg,
         raise InvalidParameterError("angle grid is empty")
     if np.any(np.diff(angles_deg) <= 0) and angles_deg.size > 1:
         raise InvalidParameterError("angle grid must be strictly increasing")
-    u, v = plane_basis(plane_normal)
-    rad = np.deg2rad(angles_deg)
-    b_vectors = magnitude * (np.outer(np.cos(rad), u) + np.outer(np.sin(rad), v))
+    b_vectors = _in_plane_field(magnitude, plane_normal, angles_deg)
     if orientations is None:
         orientations = [p.axes]
     lines = np.empty((len(orientations), angles_deg.size, 3))
@@ -289,9 +294,7 @@ def fit_odmr(observed, init: ZfsParams, magnitude, plane_normal=(0, 0, 1),
         raise InvalidParameterError("need at least 6 data points")
     freqs, sigma = obs[:, 1], obs[:, 2]
     angles, at = np.unique(obs[:, 0], return_inverse=True)
-    u, v = plane_basis(plane_normal)
-    rad = np.deg2rad(angles)
-    b_vectors = magnitude * (np.outer(np.cos(rad), u) + np.outer(np.sin(rad), v))
+    b_vectors = _in_plane_field(magnitude, plane_normal, angles)
     # branch matching set-up: the size of each row's angle group and the
     # row's rank by frequency within it; residuals() fills in the branch of
     # every row outside a group of three

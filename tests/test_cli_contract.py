@@ -1,25 +1,32 @@
-"""Exit-code contract of the CLI under one-leaf config mutations.
+"""Exit-code contract of the CLI under one-leaf config and data mutations.
 
-Each pipeline starts from a small valid config. Hypothesis replaces one node
-of it (a value, a section, a list or a list's first element) with a value
-drawn from a fixed set of malformed ones. main must return 0, 1 or 2 without
-raising, and on 0 every JSON output must parse as strict JSON (no NaN or
-Infinity).
+Each pipeline starts from a small valid config and its input files.
+Hypothesis replaces one node of the config (a value, a section, a list or a
+list's first element) with a value drawn from a fixed set of malformed ones,
+or changes one input file: one table cell, one sidecar key, or the table's
+rows. main must return 0, 1 or 2 without raising or a LAPACK complaint; on 0
+every JSON output must parse as strict JSON (no NaN or Infinity), and on 1 or
+2 no file is written.
 """
 import copy
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from defectkit.cli import PIPELINES, main
 from defectkit.datasets import write_table
 
 BAD_VALUES = ["nan", "inf", "1e999", "x", None, [], {}, 0, -1, True, 1e300, 10**9]
+# what a data mutation writes into a table cell (as text) or a sidecar key
+DATA_VALUES = [1e300, -1e300, 0.0, -0.0, -1.0, 1e-300, 5e-324, "nan", True, None, []]
+# the config keys naming each pipeline's tables
+DATA_KEYS = {"odmr-fit": ["data"], "g2-fit": ["data"], "psb-deconvolve": ["band", "dos"]}
 
 
 def _paths(node, path=()):
@@ -125,12 +132,16 @@ def base_configs(tmp_path_factory):
 
 
 def _run(pipeline, config):
+    """main's exit code and, on 0, the text of each JSON output. A run that
+    fails must leave --out empty."""
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "cfg.json"
         cfg.write_text(json.dumps(config))
         out = Path(tmp) / "out"
         code = main([pipeline, "--config", str(cfg), "--out", str(out)])
+        written = sorted(p.name for p in out.glob("*"))
         outputs = {p.name: p.read_text() for p in out.glob("*.json")} if code == 0 else {}
+    assert code == 0 or written == [], f"exit {code} left {written}"
     return code, outputs
 
 
@@ -142,6 +153,60 @@ def test_one_node_mutation_keeps_exit_contract(base_configs, pipeline, data):
     path = data.draw(st.sampled_from(list(_paths(base))), label="path")
     value = data.draw(st.sampled_from(BAD_VALUES), label="value")
     code, outputs = _run(pipeline, _replaced(base, path, value))
+    assert code in (0, 1, 2)
+    for name, text in outputs.items():
+        json.loads(text, parse_constant=_reject_constant)
+
+
+def _mutated_table(data, src):
+    """The header, rows and sidecar of table src, with one mutation drawn."""
+    lines = Path(src).read_text().splitlines()
+    header = [line for line in lines if line.startswith("#")]
+    rows = [line.split() for line in lines if not line.startswith("#")]
+    sidecar = Path(str(src) + ".json")
+    meta = json.loads(sidecar.read_text()) if sidecar.exists() else None
+    kind = data.draw(st.sampled_from(["cell", "rows"] + ["key"] * (meta is not None)),
+                     label="mutation")
+    if kind == "cell":
+        row = data.draw(st.integers(0, len(rows) - 1), label="row")
+        col = data.draw(st.integers(0, len(rows[0]) - 1), label="column")
+        value = data.draw(st.sampled_from(DATA_VALUES), label="value")
+        rows[row][col] = value if isinstance(value, str) else json.dumps(value)
+    elif kind == "key":
+        key = data.draw(st.sampled_from(sorted(meta)), label="key")
+        meta[key] = data.draw(st.sampled_from(DATA_VALUES), label="value")
+    else:
+        shape = data.draw(st.sampled_from(["one-row", "reversed", "duplicated-row"]),
+                          label="rows")
+        if shape == "one-row":
+            rows = rows[:1]
+        elif shape == "reversed":
+            rows = rows[::-1]
+        else:
+            row = data.draw(st.integers(0, len(rows) - 1), label="row")
+            rows.insert(row, rows[row])
+    return header, rows, meta
+
+
+@pytest.mark.parametrize("pipeline", sorted(DATA_KEYS))
+@settings(max_examples=12, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_one_data_mutation_keeps_exit_contract(base_configs, capfd, pipeline, data):
+    base = base_configs[pipeline]
+    key = data.draw(st.sampled_from(DATA_KEYS[pipeline]), label="file")
+    header, rows, meta = _mutated_table(data, base[key])
+    with tempfile.TemporaryDirectory() as tmp:
+        table = Path(tmp) / Path(base[key]).name
+        table.write_text("\n".join(header + ["\t".join(row) for row in rows]) + "\n")
+        if meta is not None:
+            Path(str(table) + ".json").write_text(json.dumps(meta))
+        capfd.readouterr()
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code, outputs = _run(pipeline, dict(base, **{key: str(table)}))
+    out, err = capfd.readouterr()
+    assert "Traceback" not in err and "DLASCL" not in out + err  # LAPACK's complaint
     assert code in (0, 1, 2)
     for name, text in outputs.items():
         json.loads(text, parse_constant=_reject_constant)

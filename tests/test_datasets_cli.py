@@ -106,6 +106,13 @@ class TestReadTable:
             assert (got.dtype, got.shape) == (want.dtype, want.shape)
             assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_compression_suffix_read_as_text(self, tmp_path, suffix):
+        # np.loadtxt decompresses a path with this suffix; a table is text
+        p = tmp_path / f"t{suffix}"
+        p.write_text("1 2\n3 4\n")
+        assert read_table(p, 2).tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
     def test_plain_table_skips_python_parser(self, tmp_path, monkeypatch):
         from defectkit import datasets
         p = tmp_path / "t.txt"
@@ -213,7 +220,7 @@ class TestIngest:
 
     @pytest.mark.parametrize("key, value", [
         ("n1", "x"), ("n2", None), ("bin_width_ns", float("nan")),
-        ("accumulation_time_s", float("inf")), ("rho", [0.9]),
+        ("accumulation_time_s", float("inf")), ("rho", [0.9]), ("n1", True),
     ])
     def test_g2_sidecar_bad_number_names_key(self, tmp_path, key, value):
         p = tmp_path / "hist.txt"
@@ -516,16 +523,40 @@ class TestCliUsageErrors:
                      "--out", str(tmp_path / out)]) == 2
         assert f"cannot use --out {tmp_path / out}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("blocked", ["band.txt", "manifest.json"])
-    def test_unwritable_output_exits_2(self, tmp_path, capsys, blocked):
+    @pytest.mark.parametrize("pipeline, blocked", [
+        ("psb-synth", "band.txt"), ("psb-synth", "manifest.json"),
+        ("defect-classify", "classification.txt"),
+    ], ids=["band.txt", "manifest.json", "classification.txt"])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, pipeline, blocked):
         # an output path that is a directory is a usage error naming the file
         out = tmp_path / "o"
         (out / blocked).mkdir(parents=True)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(
-            {"S": 2, "i1": {"gaussians": [{"center_mev": 60, "sigma_mev": 10}]}}))
-        assert main(["psb-synth", "--config", str(cfg), "--out", str(out)]) == 2
+            {"S": 2, "i1": {"gaussians": [{"center_mev": 60, "sigma_mev": 10}]}}
+            if pipeline == "psb-synth" else {}))
+        assert main([pipeline, "--config", str(cfg), "--out", str(out)]) == 2
         assert f"{out / blocked}: cannot write" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("pipeline, config, message", [
+        ("psb-deconvolve", {"band": "band.txt", "dos": "missing.txt", "S": 1.0,
+                            "spacing_mev": 1.0, "cutoff_mev": 100.0, "max_iter": 3},
+         "missing.txt: file does not exist"),
+        ("odmr-sim", {"D": 1135.0, "E": 139.0, "sweep": {
+            "magnitude_G": "x", "angles_deg": {"start": 0, "stop": 180, "num": 5}}},
+         "config key 'magnitude_G': invalid value 'x'"),
+    ], ids=["psb-deconvolve-missing-dos", "odmr-sim-bad-sweep"])
+    def test_failed_run_writes_nothing(self, tmp_path, capsys, monkeypatch, pipeline,
+                                       config, message):
+        # each failure comes after a first output is computed, which used to be
+        # written: one_phonon_band.txt and convergence.json, zero_field_lines.txt
+        TestCliNonFiniteOutput._inputs(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        out = tmp_path / "run"
+        assert main([pipeline, "--config", "cfg.json", "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == []
 
     def test_non_finite_table_row_exits_2(self, tmp_path, capsys):
         from defectkit.spin_hamiltonian import ZfsParams, angular_sweep
@@ -639,7 +670,8 @@ class TestCliUsageErrors:
 class TestCliNonFiniteOutput:
     """A result that overflows is an analysis failure (exit 1), not a file."""
 
-    def _inputs(self, root):
+    @staticmethod
+    def _inputs(root):
         from defectkit.psb import (
             OnePhononBand, SpectralBand, ZplShape, make_grid, synthesize_band,
         )
@@ -713,6 +745,19 @@ class TestCliG2Refusals:
         code, err = self._run(tmp_path, capfd, monkeypatch, dict({"n_exp": 2}, **config))
         assert code == 2
         assert "beyond the 1e+06 a normalized, background-corrected curve can reach" in err
+
+    @pytest.mark.parametrize("sidecar, config, key", [
+        ({"n1": True}, {}, "n1"),
+        ({}, {"units": {"bin_width_ns": True}}, "bin_width_ns"),
+    ], ids=["sidecar-n1-true", "units-bin-width-true"])
+    def test_boolean_number_exits_2(self, tmp_path, capfd, monkeypatch, sidecar, config,
+                                    key):
+        # a JSON true used to be read as 1.0: the units case fitted on 1 ns bins
+        # (exit 0), and the sidecar case blamed a g2 of 2.35e6
+        _g2_histogram(tmp_path, **sidecar)
+        code, err = self._run(tmp_path, capfd, monkeypatch, dict({"n_exp": 2}, **config))
+        assert code == 2
+        assert f"sidecar key '{key}': invalid value True" in err
 
     @pytest.mark.parametrize("first_count, config", [
         (1e6, {"n_exp": 3}),
