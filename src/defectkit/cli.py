@@ -6,6 +6,10 @@ digests, parameters, tool version and output list; a run that fails before
 then writes nothing. Outputs are deterministic for identical inputs; the
 timestamp lives only in the manifest. Exit codes: 0 success, 1 analysis
 failure (non-convergence and friends), 2 usage or schema errors.
+
+Each pipeline imports the analysis modules it calls when it runs, so a
+fresh process compiles and executes only those; importing this module loads
+none of them.
 """
 import argparse
 import json
@@ -17,7 +21,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from . import defect_model, g2_processing, photodynamics, psb, spin_hamiltonian
 from .constants import DEFAULT_SPACING_MEV, DIAMOND_PHONON_CUTOFF_MEV
 from .datasets import DatasetDescriptor, finite, ingest, sha256_of, write_outputs
 from .errors import DefectKitError, InvalidParameterError, SchemaError
@@ -56,6 +59,16 @@ def _cfg(config, key, default=KeyError, kind=None):
         return kind(value)
     except (TypeError, ValueError, OverflowError):
         raise SchemaError(f"config key {key!r}: invalid value {value!r}") from None
+
+
+def _given(config, **kinds):
+    """{key: config[key] through kind} for each key of kinds that config gives.
+
+    A missing or null key is left out, so the called function's own default
+    holds; the CLI does not state a library default a second time.
+    """
+    return {key: _cfg(config, key, kind=kind) for key, kind in kinds.items()
+            if _cfg(config, key, None) is not None}
 
 
 def _read_json(path):
@@ -139,17 +152,20 @@ def _ingest(inputs, path, kind, units=None):
 
 
 def _zfs_from_config(config, key="init"):
+    from . import spin_hamiltonian
+
     spec = _cfg(config, key, {}) if key else config
     return spin_hamiltonian.ZfsParams(
         D=_cfg(spec, "D", kind=finite),
         E=_cfg(spec, "E", kind=finite),
-        g=_cfg(spec, "g", 2.0, finite),
-        axes=_cfg(spec, "axes", np.eye(3), _floats),
+        **_given(spec, g=finite, axes=_floats),
     )
 
 
 @_pipeline("odmr-sim")
 def run_odmr_sim(config, inputs):
+    from . import spin_hamiltonian
+
     p = _zfs_from_config(config, key=None)
     lines = spin_hamiltonian.zero_field_lines(p)
     outputs = {"zero_field_lines.txt": ([lines.frequencies], ["freq_MHz"])}
@@ -186,13 +202,14 @@ def run_odmr_sim(config, inputs):
 
 @_pipeline("odmr-fit")
 def run_odmr_fit(config, inputs):
+    from . import spin_hamiltonian
+
     data_path = _cfg(config, "data", kind=str)
     options = dict(
         init=_zfs_from_config(config, key="init"),
         magnitude=_cfg(config, "magnitude_G", kind=finite),
-        plane_normal=_cfg(config, "plane_normal", [0, 0, 1], _floats),
-        fit_orientation=_cfg(config, "fit_orientation", False, _switch),
-        fit_tilt=_cfg(config, "fit_tilt", False, _switch),
+        **_given(config, plane_normal=_floats, fit_orientation=_switch,
+                 fit_tilt=_switch),
     )
     observed = _ingest(inputs, data_path, "odmr_table")
     result = spin_hamiltonian.fit_odmr(observed, **options)
@@ -214,7 +231,9 @@ def run_odmr_fit(config, inputs):
 
 @_pipeline("g2-fit")
 def run_g2_fit(config, inputs):
-    n_exp = _cfg(config, "n_exp", 4, _count)
+    from . import g2_processing
+
+    options = _given(config, n_exp=_count)
     hist, rho = _ingest(inputs, _cfg(config, "data", kind=str), "g2_histogram",
                         _cfg(config, "units", None, _section))
     rho = _cfg(config, "rho", rho, finite)
@@ -222,9 +241,9 @@ def run_g2_fit(config, inputs):
     result = g2_processing.fit_g2(
         hist.bin_centers,
         curve,
-        n_exp=n_exp,
         counts=hist.counts,
         rho=rho,
+        **options,
     )
     return {"g2_fit.json": {
         "alphas": result.fit.alphas.tolist(),
@@ -239,6 +258,8 @@ def run_g2_fit(config, inputs):
 
 @_pipeline("rates-extract")
 def run_rates_extract(config, inputs):
+    from . import g2_processing, photodynamics
+
     fit_path = _cfg(config, "fit_file", None, str)
     if fit_path is not None:
         inputs.append(fit_path)
@@ -248,7 +269,7 @@ def run_rates_extract(config, inputs):
     fit = g2_processing.G2Fit(
         alphas=_cfg(payload, "alphas", kind=_floats),
         taus=_cfg(payload, "taus_ns", kind=_floats),
-        rho=_cfg(payload, "rho", 1.0, finite),
+        **_given(payload, rho=finite),
     )
     rates = photodynamics.extract_rates(
         fit,
@@ -260,6 +281,8 @@ def run_rates_extract(config, inputs):
 
 @_pipeline("power-sweep")
 def run_power_sweep(config, inputs):
+    from . import photodynamics
+
     rates = _cfg(config, "rates")  # each rate through finite, required unless defaulted
     base = photodynamics.RateParams(**{
         f.name: _cfg(rates, f.name, KeyError if f.default is MISSING else f.default, finite)
@@ -274,7 +297,7 @@ def run_power_sweep(config, inputs):
         powers_w=powers,
         wavelength_nm=_cfg(config, "wavelength_nm", kind=finite),
         focal_area_cm2=_cfg(config, "focal_area_cm2", kind=finite),
-        driven=_cfg(config, "driven", "plus"),
+        **_given(config, driven=None),
     )
     return {"power_sweep.txt": (
         [[getattr(p, name) for p in points]
@@ -283,6 +306,8 @@ def run_power_sweep(config, inputs):
 
 
 def _zpl_from_config(config, spacing):
+    from . import psb
+
     spec = _cfg(config, "zpl", {})
     kind = _cfg(spec, "kind", "delta")
     if kind == "delta":
@@ -298,6 +323,8 @@ def _spacing_cutoff(config):
 
 
 def _i1_from_config(config, inputs):
+    from . import psb
+
     spacing, cutoff = _spacing_cutoff(config)
     i1_path = _cfg(config, "i1_file", None, str)
     if i1_path is not None:
@@ -317,6 +344,8 @@ def _i1_from_config(config, inputs):
 
 @_pipeline("psb-synth")
 def run_psb_synth(config, inputs):
+    from . import psb
+
     i1, spacing, cutoff = _i1_from_config(config, inputs)
     s = _cfg(config, "S", kind=finite)
     zpl = _zpl_from_config(config, spacing)
@@ -336,6 +365,8 @@ def run_psb_synth(config, inputs):
 
 @_pipeline("psb-deconvolve")
 def run_psb_deconvolve(config, inputs):
+    from . import psb
+
     spacing, cutoff = _spacing_cutoff(config)
     spectrum_path = _cfg(config, "spectrum", None, str)
     if spectrum_path is not None:
@@ -351,15 +382,9 @@ def run_psb_deconvolve(config, inputs):
     zpl = _zpl_from_config(config, band.spacing)
     init = psb.direct_fourier_deconvolve(band, s, zpl, cutoff_mev=cutoff)
     smoothed = psb.smooth_and_taper(
-        init.band, cutoff,
-        smooth_bins=_cfg(config, "smooth_bins", 5, _count),
-        taper_fraction=_cfg(config, "taper_fraction", 0.1, finite),
-    )
+        init.band, cutoff, **_given(config, smooth_bins=_count, taper_fraction=finite))
     i1, trace = psb.iterative_deconvolve(
-        band, s, zpl, smoothed,
-        max_iter=_cfg(config, "max_iter", 50, _count),
-        tol=_cfg(config, "tol", 1e-6, finite),
-    )
+        band, s, zpl, smoothed, **_given(config, max_iter=_count, tol=finite))
     outputs = {
         "one_phonon_band.txt": ([i1.grid, i1.values], ["energy_meV", "density"]),
         "convergence.json": {
@@ -384,24 +409,23 @@ def run_psb_deconvolve(config, inputs):
 
 @_pipeline("defect-classify")
 def run_defect_classify(config, inputs):
+    from . import defect_model
+
     group = defect_model.point_group(_cfg(config, "group", "C2v"))
     geo_cfg = _cfg(config, "geometry", {})
-    delta = _cfg(geo_cfg, "delta", 0.0, finite)
+    options = _given(geo_cfg, delta=finite)
     theta = _cfg(geo_cfg, "theta_deg", None, finite)
     if theta is not None:
-        geom = defect_model.VacancyGeometry.with_polar_angle(theta, delta=delta)
+        geom = defect_model.VacancyGeometry.with_polar_angle(theta, **options)
     else:
-        geom = defect_model.VacancyGeometry.tetrahedral(delta=delta)
+        geom = defect_model.VacancyGeometry.tetrahedral(**options)
     records = defect_model.classify_pairs(group, geom)
     constraints = _cfg(config, "constraints", None)
     selected = records
     if constraints is not None:
-        selected = defect_model.candidate_filter(
-            records,
-            dipole_axes=_cfg(constraints, "dipole_axes", None, _list_of(_label)),
-            spin_axes=_cfg(constraints, "spin_axes", None, _list_of(_label)),
-            require_coalignment=_cfg(constraints, "require_coalignment", False, _switch),
-        )
+        selected = defect_model.candidate_filter(records, **_given(
+            constraints, dipole_axes=_list_of(_label), spin_axes=_list_of(_label),
+            require_coalignment=_switch))
     counts = _cfg(config, "electron_counts", [4, 6], _list_of(_count))
     structures = {
         str(n): [asdict(s) for s in defect_model.structure_shortlist(n)]

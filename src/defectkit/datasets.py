@@ -16,6 +16,9 @@ match bit for bit: the C parser accepts no number that ``float`` refuses.
 Tables are written with one '%.10g' format string for the whole table, and a
 non-finite value is refused before any file is written, as it is in JSON
 output. A file that cannot be written is a SchemaError that names it.
+
+The analysis classes a kind returns are imported where that kind is read, so
+importing this module, as the CLI does, loads no analysis module.
 """
 import hashlib
 import json
@@ -29,8 +32,6 @@ import numpy as np
 
 from .constants import DEFAULT_SPACING_MEV, HC_EV_NM
 from .errors import DefectKitError, SchemaError
-from .g2_processing import CoincidenceHistogram
-from .psb import SpectralBand, make_grid
 
 log = logging.getLogger(__name__)
 
@@ -177,11 +178,13 @@ def _number(desc, meta, key, default=None):
 class EmissionSpectrum:
     """Emission intensity on a uniform photon-energy grid with ZPL marker."""
 
-    band: SpectralBand
+    band: "SpectralBand"
     zpl_mev: float
 
 
 def _resample_uniform(x, y, spacing):
+    from .psb import SpectralBand, make_grid
+
     grid = make_grid(x.min(), x.max(), spacing)
     return SpectralBand(grid, np.interp(grid, x, y, left=0.0, right=0.0))
 
@@ -206,6 +209,8 @@ def ingest(desc: DatasetDescriptor):
         return data
 
     if desc.kind == "g2_histogram":
+        from .g2_processing import CoincidenceHistogram
+
         data = read_table(desc.path, 2)
         meta = _read_sidecar(
             desc, ["n1", "n2", "bin_width_ns", "accumulation_time_s"]

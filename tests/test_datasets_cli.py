@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import os
@@ -777,22 +778,118 @@ class TestCliG2Refusals:
         assert found and float(found.group(1)) < 16.0 / 745  # exp(-16 ns/tau) is 0
 
 
-class TestCliImport:
+class TestCliLibraryDefaults:
+    """A key the config leaves out (or sets to null, as odmr-fit's fit_tilt)
+    reaches the library as no keyword, so the library's own default holds; a
+    bad value is still refused with exit 2."""
+
+    class Called(DefectKitError):
+        """Raised by the recorder, so a run ends (exit 1) where the call was."""
+
+    DECONVOLVE = {"band": "band.txt", "S": 1.0, "spacing_mev": 1.0, "cutoff_mev": 100.0}
+    RATES = {"fit": {"alphas": [0.5], "taus_ns": [10.0]}, "detected_rate": 1e4,
+             "eta": 0.02}
+    # one key of each library function whose defaults the CLI leaves in force,
+    # with the config section that holds it
+    CASES = [
+        ("odmr-sim", {"D": 1135, "E": 139}, None, "spin_hamiltonian.ZfsParams", "g",
+         "'g': invalid value 'x'"),
+        ("odmr-fit", json.loads(ODMR_FIT % '"fit_tilt": null'), None,
+         "spin_hamiltonian.fit_odmr", "plane_normal", "'plane_normal': invalid value 'x'"),
+        ("g2-fit", {"data": "hist.txt"}, None, "g2_processing.fit_g2", "n_exp",
+         "'n_exp': invalid value 'x'"),
+        ("rates-extract", RATES, "fit", "g2_processing.G2Fit", "rho",
+         "'rho': invalid value 'x'"),
+        ("power-sweep", json.loads(POWER_SWEEP % '"powers_w": [1e-3]'), None,
+         "photodynamics.power_sweep_model", "driven", 'driven must be "plus" or "minus"'),
+        ("psb-deconvolve", DECONVOLVE, None, "psb.smooth_and_taper", "smooth_bins",
+         "'smooth_bins': invalid value 'x'"),
+        ("psb-deconvolve", DECONVOLVE, None, "psb.iterative_deconvolve", "max_iter",
+         "'max_iter': invalid value 'x'"),
+        ("defect-classify", {"geometry": {}}, "geometry",
+         "defect_model.VacancyGeometry.tetrahedral", "delta", "'delta': invalid value 'x'"),
+        ("defect-classify", {"constraints": {}}, "constraints",
+         "defect_model.candidate_filter", "require_coalignment",
+         "'require_coalignment': invalid value 'x'"),
+    ]
+    IDS = ["ZfsParams-g", "fit_odmr-plane_normal", "fit_g2-n_exp", "G2Fit-rho",
+           "power_sweep_model-driven", "smooth_and_taper-smooth_bins",
+           "iterative_deconvolve-max_iter", "VacancyGeometry-delta",
+           "candidate_filter-require_coalignment"]
+
     @staticmethod
-    def loaded_scipy_modules(code):
+    def _run(root, monkeypatch, pipeline, config):
+        TestCliNonFiniteOutput._inputs(root)
+        _g2_histogram(root)
+        write_table(root / "odmr.txt", [[0.0, 45.0, 90.0], [1000.0, 1100.0, 1200.0],
+                                        [1.0, 1.0, 1.0]], ["angle_deg", "freq_MHz", "sigma"])
+        monkeypatch.chdir(root)
+        (root / "cfg.json").write_text(json.dumps(config))
+        return main([pipeline, "--config", "cfg.json", "--out", "run"])
+
+    @pytest.mark.parametrize("pipeline, config, section, target, key, message", CASES,
+                             ids=IDS)
+    def test_absent_key_passes_no_keyword(self, tmp_path, monkeypatch, pipeline, config,
+                                          section, target, key, message):
+        calls = []
+
+        def record(*args, **kwargs):
+            calls.append(kwargs)
+            raise self.Called("recorded")
+
+        monkeypatch.setattr(f"defectkit.{target}", record)
+        assert self._run(tmp_path, monkeypatch, pipeline, config) == 1
+        assert len(calls) == 1 and key not in calls[0]
+
+    @pytest.mark.parametrize("pipeline, config, section, target, key, message", CASES,
+                             ids=IDS)
+    def test_bad_value_exits_2(self, tmp_path, capsys, monkeypatch, pipeline, config,
+                               section, target, key, message):
+        config = copy.deepcopy(config)
+        (config[section] if section else config)[key] = "x"
+        assert self._run(tmp_path, monkeypatch, pipeline, config) == 2
+        assert message in capsys.readouterr().err
+
+
+class TestCliImport:
+    BARE = {"cli", "constants", "datasets", "errors"}
+
+    @staticmethod
+    def loaded_modules(code):
+        """The defectkit submodules and the scipy modules that code leaves in
+        sys.modules of a fresh interpreter."""
         import defectkit
         src = Path(defectkit.__file__).resolve().parents[1]
         env = dict(os.environ, PYTHONPATH=str(src))
-        code += ("\nimport sys; print([m for m in ('scipy', 'scipy.signal', "
-                 "'scipy.optimize', 'scipy.linalg') if m in sys.modules])")
+        code += ("\nimport json, sys; print(json.dumps(["
+                 "[m.split('.', 1)[1] for m in sys.modules if m.startswith('defectkit.')], "
+                 "[m for m in ('scipy', 'scipy.signal', 'scipy.optimize', 'scipy.linalg') "
+                 "if m in sys.modules]]))")
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
-        return out.stdout.strip()
+        ours, scipy = json.loads(out.stdout.splitlines()[-1])
+        return set(ours), scipy
 
-    def test_import_leaves_scipy_signal_out(self):
-        # scipy is most of a CLI start; only fit_g2 (scipy.optimize) and
-        # g2_numeric (scipy.linalg) import it, when called
-        assert self.loaded_scipy_modules("import defectkit.cli") == "[]"
+    @pytest.fixture(scope="class")
+    def after_import(self):
+        return self.loaded_modules("import defectkit.cli")
+
+    def test_import_leaves_scipy_signal_out(self, after_import):
+        # importing scipy.optimize and scipy.linalg takes longer than the rest
+        # of a CLI start; only fit_g2 and g2_numeric import them, when called
+        assert after_import[1] == []
+
+    def test_import_loads_no_analysis_module(self, after_import):
+        # each pipeline imports the analysis modules it calls when it runs
+        assert after_import[0] == self.BARE
+
+    def test_run_loads_only_its_modules(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"D": 1135.0, "E": 139.0}))
+        code = ("from defectkit.cli import main\n"
+                f"assert main(['odmr-sim', '--config', {str(cfg)!r}, "
+                f"'--out', {str(tmp_path / 'run')!r}]) == 0")
+        assert self.loaded_modules(code)[0] == self.BARE | {"spin_hamiltonian"}
 
     def test_critical_point_report_leaves_scipy_out(self):
         # the psb pipelines find their peaks with psb._find_peaks, not scipy.signal
@@ -803,7 +900,7 @@ class TestCliImport:
                 "                    + 0.5 * np.exp(-0.5 * ((grid - 90) / 5) ** 2))\n"
                 "report = critical_point_report(band, band)\n"
                 "assert len(report.peaks) == 2")
-        assert self.loaded_scipy_modules(code) == "[]"
+        assert self.loaded_modules(code)[1] == []
 
 
 class TestCliPowerSweep:
