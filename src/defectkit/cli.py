@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 import time
+import warnings
 from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
@@ -416,7 +417,7 @@ def run_defect_classify(config, inputs):
     options = _given(geo_cfg, delta=finite)
     theta = _cfg(geo_cfg, "theta_deg", None, finite)
     if theta is not None:
-        geom = defect_model.VacancyGeometry.with_polar_angle(theta, **options)
+        geom = defect_model.VacancyGeometry(theta, **options)
     else:
         geom = defect_model.VacancyGeometry.tetrahedral(**options)
     records = defect_model.classify_pairs(group, geom)
@@ -482,13 +483,21 @@ def main(argv=None):
             outdir.mkdir(parents=True, exist_ok=True)
         except OSError as err:
             raise SchemaError(f"cannot use --out {args.out}: {err}") from None
-        outputs = PIPELINES[args.pipeline](config, inputs)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                outputs = PIPELINES[args.pipeline](config, inputs)
+            finally:  # each distinct message once, in order
+                warned = list(dict.fromkeys(str(w.message) for w in caught))
+                for message in warned:
+                    print(f"defectkit: {args.pipeline}: warning: {message}", file=sys.stderr)
         manifest = {
             "command": args.pipeline,
             "tool_version": __version__,
             "parameters": config,
             "inputs": {str(p): sha256_of(p) for p in inputs},
             "outputs": sorted(outputs),
+            "warnings": warned,
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         }
         write_outputs(outdir, {**outputs, "manifest.json": manifest})

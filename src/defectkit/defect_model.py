@@ -24,7 +24,7 @@ its characters are (+,+,+), i.e. a second A1 (which is also what the
 HOMO/LUMO classification demands). All classification uses the characters.
 """
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -117,74 +117,40 @@ def dipole_selection(excited_irrep, group: PointGroup):
 
 @dataclass(frozen=True)
 class VacancyGeometry:
-    """Mean positions and bond-axis variances of the four dangling orbitals.
+    """The four dangling orbitals of a C2v vacancy at polar angle theta_deg.
 
-    positions are the nearest-neighbor sites in units of the bond length;
-    mean_positions are the orbital centroids (defaulting to the sites) and
-    variances the per-orbital electron-position variance along the bond
-    axis, in bond lengths squared (minor-axis variances are neglected).
+    c1, c2 sit in the xz plane at angle theta from +-z; c3, c4 sit in the xy
+    plane at the mirrored positions. positions are these sites in units of
+    the bond length, and also the orbital centroids. delta is each orbital's
+    electron-position variance along its bond axis, in bond lengths squared
+    (minor-axis variances are neglected). theta = 45 makes each bond's
+    in-plane coordinates equal in magnitude, which is the idealization under
+    which the (a1, b1) tensor collapses to the two-parameter tilt form.
     """
 
-    positions: np.ndarray
-    mean_positions: np.ndarray = None
-    variances: np.ndarray = field(default_factory=lambda: np.zeros(4))
+    theta_deg: float
+    delta: float = 0.0
 
     def __post_init__(self):
-        pos = np.asarray(self.positions, dtype=float)
-        if pos.shape != (4, 3):
-            raise InvalidParameterError("positions must be a 4x3 array")
-        mean = self.mean_positions
-        mean = pos.copy() if mean is None else np.asarray(mean, dtype=float)
-        var = np.asarray(self.variances, dtype=float)
-        if np.isscalar(self.variances) or var.ndim == 0:
-            var = np.full(4, float(var))
-        if var.shape != (4,) or np.any(var < 0):
-            raise InvalidParameterError("variances must be four non-negative values")
-        # c1, c2 in the xz plane with equal <x> and opposite <z>
-        if abs(mean[0, 1]) > 1e-9 or abs(mean[1, 1]) > 1e-9:
-            raise InvalidParameterError("c1 and c2 must lie in the xz plane")
-        if abs(mean[0, 0] - mean[1, 0]) > 1e-9 or abs(mean[0, 2] + mean[1, 2]) > 1e-9:
-            raise InvalidParameterError("c1 and c2 must mirror through the xy plane")
-        # c3, c4 mirror-symmetric through the xz plane
-        if (abs(mean[2, 0] - mean[3, 0]) > 1e-9
-                or abs(mean[2, 1] + mean[3, 1]) > 1e-9
-                or abs(mean[2, 2] - mean[3, 2]) > 1e-9):
-            raise InvalidParameterError("c3 and c4 must mirror through the xz plane")
-        object.__setattr__(self, "positions", pos)
-        object.__setattr__(self, "mean_positions", mean)
-        object.__setattr__(self, "variances", var)
-
-    @classmethod
-    def with_polar_angle(cls, theta_deg, delta=0.0):
-        """Sites at polar angle theta from the symmetry axes.
-
-        c1, c2 sit in the xz plane at angle theta from +-z; c3, c4 sit in
-        the xy plane at the mirrored positions. theta = 45 makes each bond's
-        in-plane mean coordinates equal in magnitude, which is the
-        idealization under which the (a1, b1) tensor collapses to the
-        two-parameter tilt form.
-        """
-        s, c = np.sin(np.deg2rad(theta_deg)), np.cos(np.deg2rad(theta_deg))
-        pos = np.array([
+        if self.delta < 0:
+            raise InvalidParameterError("delta must be non-negative")
+        s, c = np.sin(np.deg2rad(self.theta_deg)), np.cos(np.deg2rad(self.theta_deg))
+        object.__setattr__(self, "positions", np.array([
             [-s, 0.0, c],
             [-s, 0.0, -c],
             [s, c, 0.0],
             [s, -c, 0.0],
-        ])
-        return cls(positions=pos, variances=np.full(4, float(delta)))
+        ]))
 
     @classmethod
-    def tetrahedral(cls, delta=0.0):
+    def tetrahedral(cls, **kwargs):
         """Ideal undistorted vacancy: four sp3 bonds at 109.47 degrees."""
-        return cls.with_polar_angle(np.rad2deg(np.arctan(np.sqrt(0.5))), delta=delta)
-
-    def bond_axis(self, i):
-        p = self.positions[i]
-        return p / np.linalg.norm(p)
+        return cls(np.rad2deg(np.arctan(np.sqrt(0.5))), **kwargs)
 
     def covariance(self, i):
-        m = self.bond_axis(i)
-        return self.variances[i] * np.outer(m, m)
+        p = self.positions[i]
+        m = p / np.linalg.norm(p)
+        return self.delta * np.outer(m, m)
 
 
 @dataclass(frozen=True)
@@ -226,14 +192,14 @@ def dipole_estimate(homo, lumo, geom: VacancyGeometry) -> DipoleEstimate:
     ca, cb, excited = _pair(homo, lumo)
     if not dipole_selection(C2V.label(excited), C2V):
         return DipoleEstimate(np.zeros(3), 0.0, order="zero", forbidden=True)
-    d = (ca * cb) @ geom.mean_positions
+    d = (ca * cb) @ geom.positions
     order = "onsite"
     if np.linalg.norm(d) < 1e-12:
         order = "overlap"
         # sum over i != j of ca[i] cb[j] (m_i + m_j) / 2
         w = np.outer(ca, cb)
         np.fill_diagonal(w, 0.0)
-        d = d + 0.5 * (w.sum(axis=1) + w.sum(axis=0)) @ geom.mean_positions
+        d = d + 0.5 * (w.sum(axis=1) + w.sum(axis=0)) @ geom.positions
     mag = float(np.linalg.norm(d))
     if mag < 1e-12:
         return DipoleEstimate(np.zeros(3), 0.0, order="zero")
@@ -266,8 +232,7 @@ class SpinSpinTensor:
 _DETERMINANT_WEIGHT = 2.0
 
 
-def spinspin_tensor(homo, lumo, geom: VacancyGeometry,
-                    covariance_mode="leading") -> SpinSpinTensor:
+def spinspin_tensor(homo, lumo, geom: VacancyGeometry) -> SpinSpinTensor:
     """Semi-classical dipolar tensor for the (homo, lumo) triplet.
 
     Every cross pair of occupied atomic orbitals contributes
@@ -276,34 +241,26 @@ def spinspin_tensor(homo, lumo, geom: VacancyGeometry,
 
     with R the separation of the orbital centroids; on-site pairs cancel
     exactly between the direct and exchange terms of the determinant and are
-    skipped. Delta_ij is the bond-axis position covariance: mode "leading"
-    takes the covariance of the pair's first orbital (the bookkeeping under
-    which the in-plane pair acquires its xz tilt), mode "paired" sums both
-    orbitals' covariances (for the in-plane pair the xz components then
-    cancel by mirror symmetry and no tilt survives). The output is
-    symmetrized and made traceless.
+    skipped. Delta_ij is the bond-axis position covariance of the pair's
+    first orbital, the bookkeeping under which the in-plane pair acquires
+    its xz tilt. The output is symmetrized and made traceless.
     """
-    if covariance_mode not in ("leading", "paired"):
-        raise InvalidParameterError('covariance_mode must be "leading" or "paired"')
     ca, cb, _ = _pair(homo, lumo)
     # w[i, j] = ca[i]^2 cb[j]^2 over the cross pairs i != j
     w = np.outer(ca**2, cb**2)
     np.fill_diagonal(w, 0.0)
-    mean = geom.mean_positions
-    r = mean[None, :, :] - mean[:, None, :]  # r[i, j] = mean[j] - mean[i]
+    pos = geom.positions
+    r = pos[None, :, :] - pos[:, None, :]  # r[i, j] = pos[j] - pos[i]
     dist = np.linalg.norm(r, axis=-1)
     pair = w != 0.0
     coincident = pair & (dist < 1e-12)
     if coincident.any():
         i, j = np.argwhere(coincident)[0]
         raise SingularGeometryError(
-            f"orbitals c{i+1} and c{j+1} have coincident mean positions"
+            f"orbitals c{i+1} and c{j+1} have coincident positions"
         )
     cov = np.array([geom.covariance(k) for k in range(4)])
-    if covariance_mode == "leading":
-        cov = cov[np.minimum.outer(np.arange(4), np.arange(4))]
-    else:
-        cov = cov[:, None] + cov[None, :]
+    cov = cov[np.minimum.outer(np.arange(4), np.arange(4))]
     r, d, cov = r[pair], dist[pair][:, None, None], cov[pair]
     t = np.eye(3) / d**3 - 3.0 * (r[:, :, None] * r[:, None, :] - cov) / d**5
     out = (w[pair][:, None, None] * t).sum(axis=0)
@@ -391,7 +348,7 @@ _PAIR_ORDER = [("a1", "a1'"), ("a1", "b1"), ("a1'", "b1"),
                ("a1", "b2"), ("a1'", "b2"), ("b1", "b2")]
 
 
-def classify_pairs(group: PointGroup, geom: VacancyGeometry = None):
+def classify_pairs(group: PointGroup, geom: VacancyGeometry):
     """Excited-state symmetry, dipole axis and spin axis for all six pairs.
 
     The dipole axis follows the selection rules for the pair's excited
@@ -402,8 +359,6 @@ def classify_pairs(group: PointGroup, geom: VacancyGeometry = None):
     principal axis of the semi-classical spin-spin tensor snapped to the
     nearest coordinate axis.
     """
-    if geom is None:
-        geom = VacancyGeometry.tetrahedral()
     records = []
     for homo, lumo in _PAIR_ORDER:
         excited = _pair(homo, lumo)[2]

@@ -44,7 +44,7 @@ class InvalidFitError(DefectKitError):
 
 
 class SingularGeometryError(DefectKitError):
-    """Orbital geometry puts two electrons at coincident mean positions."""
+    """Orbital geometry puts two electrons at coincident positions."""
 
 
 class SchemaError(DefectKitError):

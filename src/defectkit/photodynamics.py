@@ -199,13 +199,16 @@ def _g2_amplitudes(roots, k0, km, kp):
     return c
 
 
-def g2_analytic(r: RateParams, tau_s, collision_tol=1e-9) -> np.ndarray:
+_ROOT_COLLISION_TOL = 1e-9
+
+
+def g2_analytic(r: RateParams, tau_s) -> np.ndarray:
     """Closed-form g2(tau), tau in seconds.
 
     Partial-fraction solution of the reduced kinetics from the post-emission
     state S0=1, normalized by the stationary S1. Near-coincident relaxation
     roots make the partial-fraction denominators blow up, so root pairs
-    closer than collision_tol (relative to the largest root) trigger a
+    closer than _ROOT_COLLISION_TOL (relative to the largest root) trigger a
     fallback to the numeric propagator with a warning.
     """
     tau = np.asarray(tau_s, dtype=float)
@@ -214,7 +217,7 @@ def g2_analytic(r: RateParams, tau_s, collision_tol=1e-9) -> np.ndarray:
     roots = quartic_roots(characteristic_coefficients(r))
     scale = np.max(np.abs(roots))
     gaps = [abs(roots[i] - roots[j]) for i in range(4) for j in range(i + 1, 4)]
-    if scale == 0.0 or min(gaps) < collision_tol * scale:
+    if scale == 0.0 or min(gaps) < _ROOT_COLLISION_TOL * scale:
         warnings.warn(
             "relaxation roots collide; falling back to numeric propagation",
             RuntimeWarning,

@@ -496,6 +496,8 @@ class TestCliUsageErrors:
          "'k_ex': invalid value True"),
         ("defect-classify", '{"electron_counts": [4, 1e9]}',
          "'electron_counts': invalid value [4, 1000000000.0]"),
+        ("defect-classify", '{"geometry": {"delta": -0.01}}',
+         "delta must be non-negative"),
     ], ids=["list", "string-value", "nan-value", "string-in-array", "string-section",
             "nan-string", "inf-string", "overflow-string", "nan-string-in-section",
             "nan-string-in-triad", "null-in-vector", "inf-string-in-array",
@@ -506,7 +508,7 @@ class TestCliUsageErrors:
             "string-false-orientation", "number-tilt", "list-orientation",
             "string-false-coalignment", "string-coalignment", "true-number",
             "true-count", "fractional-count", "count-over-cap", "true-rate",
-            "electron-count-over-cap"])
+            "electron-count-over-cap", "negative-delta"])
     def test_bad_config_exits_2(self, tmp_path, capsys, pipeline, text, message):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(text)
@@ -651,6 +653,15 @@ class TestCliUsageErrors:
                      "--out", str(tmp_path / "o")]) == 2
         assert "_axes': invalid value" in capsys.readouterr().err
 
+    def test_coincident_geometry_exits_1(self, tmp_path, capsys):
+        # theta = 90 puts c1 on c2 (and c3 on c4): the spin-spin tensor is singular
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"geometry": {"theta_deg": 90}}))
+        out = tmp_path / "o"
+        assert main(["defect-classify", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "orbitals c1 and c2 have coincident positions" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("extra, message", [
         ({"spacing_mev": 0}, "grid spacing must be positive"),
         ({"zpl": {"kind": "gaussian", "sigma_mev": 0}}, "ZPL width must be positive"),
@@ -776,6 +787,26 @@ class TestCliG2Refusals:
         found = re.search(r"g2 fit component collapsed: its Jacobian column vanishes at "
                           r"tau = (\S+) ns, against a bin width of 16 ns", err)
         assert found and float(found.group(1)) < 16.0 / 745  # exp(-16 ns/tau) is 0
+
+
+class TestCliWarnings:
+    def test_warnings_reported_once_and_recorded(self, tmp_path, capsys, monkeypatch):
+        # 500 bins of 16 ns span 2.7 decades, and a 4-exponential fit of a
+        # two-exponential curve is ill-conditioned; the run still succeeds
+        _g2_histogram(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps({"data": "hist.txt", "n_exp": 4}))
+        assert main(["g2-fit", "--config", "cfg.json", "--out", "run"]) == 0
+        err = capsys.readouterr().err
+        decades = ("delay grid spans fewer than 3 decades; 4-exponential fit may be "
+                   "unidentifiable")
+        condition = ("ill-conditioned Jacobian (condition > 1e12): fit parameters are "
+                     "not individually identifiable")
+        assert err == (f"defectkit: g2-fit: warning: {decades}\n"
+                       f"defectkit: g2-fit: warning: {condition}\n")
+        assert ".py:" not in err and "warnings.warn(" not in err
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        assert manifest["warnings"] == [decades, condition]
 
 
 class TestCliLibraryDefaults:

@@ -82,7 +82,7 @@ class TestDipoleEstimate:
         assert est.order == "onsite"
         assert np.allclose(np.abs(est.direction), [0, 0, 1], atol=1e-12)
         # magnitude 2<z>_1 with unnormalized +-1 MO coefficients
-        assert np.isclose(est.magnitude, 2 * self.geom.mean_positions[0, 2],
+        assert np.isclose(est.magnitude, 2 * self.geom.positions[0, 2],
                           rtol=1e-12)
 
     def test_a1p_b1_along_z(self):
@@ -104,7 +104,7 @@ class TestDipoleEstimate:
 MO_LABELS = ("a1", "a1'", "b1", "b2")
 
 
-def _spinspin_loop(homo, lumo, geom, covariance_mode):
+def _spinspin_loop(homo, lumo, geom):
     """spinspin_tensor as a plain double loop over the ordered orbital pairs."""
     ca = np.asarray(_MO_TABLE[homo], dtype=float)
     cb = np.asarray(_MO_TABLE[lumo], dtype=float)
@@ -114,16 +114,13 @@ def _spinspin_loop(homo, lumo, geom, covariance_mode):
             w = ca[i] ** 2 * cb[j] ** 2
             if i == j or w == 0.0:
                 continue
-            r = geom.mean_positions[j] - geom.mean_positions[i]
+            r = geom.positions[j] - geom.positions[i]
             dist = np.linalg.norm(r)
             if dist < 1e-12:
                 raise SingularGeometryError(
-                    f"orbitals c{i+1} and c{j+1} have coincident mean positions"
+                    f"orbitals c{i+1} and c{j+1} have coincident positions"
                 )
-            if covariance_mode == "leading":
-                cov = geom.covariance(min(i, j))
-            else:
-                cov = geom.covariance(i) + geom.covariance(j)
+            cov = geom.covariance(min(i, j))
             out += w * (np.eye(3) / dist**3 - 3.0 * (np.outer(r, r) - cov) / dist**5)
     out *= 2.0
     out = 0.5 * (out + out.T)
@@ -131,32 +128,29 @@ def _spinspin_loop(homo, lumo, geom, covariance_mode):
 
 
 class TestSpinSpinTensor:
-    @pytest.mark.parametrize("mode", ["leading", "paired"])
-    @pytest.mark.parametrize("theta", [None, 35.26, 45.0, 50.0, 60.0])
+    # the ids name the covariance rule, "leading" (the pair's first orbital)
+    @pytest.mark.parametrize("theta", [None, 35.26, 45.0, 50.0, 60.0],
+                             ids=lambda theta: f"{theta}-leading")
     @pytest.mark.parametrize("delta", [0.0, 0.02, 0.05])
-    def test_matches_double_loop(self, mode, theta, delta):
+    def test_matches_double_loop(self, theta, delta):
         if theta is None:
             geom = VacancyGeometry.tetrahedral(delta=delta)
         else:
-            geom = VacancyGeometry.with_polar_angle(theta, delta=delta)
+            geom = VacancyGeometry(theta, delta=delta)
         for homo in MO_LABELS:
             for lumo in MO_LABELS:
-                want = _spinspin_loop(homo, lumo, geom, mode)
-                got = spinspin_tensor(homo, lumo, geom, covariance_mode=mode).matrix
+                want = _spinspin_loop(homo, lumo, geom)
+                got = spinspin_tensor(homo, lumo, geom).matrix
                 assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
-    @pytest.mark.parametrize("mean_z, mean_y", [(0.0, 0.5), (0.5, 0.0), (0.0, 0.0)],
-                             ids=["c1-on-c2", "c3-on-c4", "both"])
-    def test_coincident_pair_named_in_loop_order(self, mean_z, mean_y):
-        # mirror-consistent centroids with c1 = c2 and/or c3 = c4
-        mean = np.array([[-0.5, 0.0, mean_z], [-0.5, 0.0, -mean_z],
-                         [0.5, mean_y, 0.0], [0.5, -mean_y, 0.0]])
-        geom = VacancyGeometry(positions=VacancyGeometry.tetrahedral().positions,
-                               mean_positions=mean)
+    @pytest.mark.parametrize("theta", [90.0], ids=["both"])
+    def test_coincident_pair_named_in_loop_order(self, theta):
+        # theta = 90 puts c1 on c2 and c3 on c4
+        geom = VacancyGeometry(theta)
         for homo in MO_LABELS:
             for lumo in MO_LABELS:
                 try:
-                    _spinspin_loop(homo, lumo, geom, "leading")
+                    _spinspin_loop(homo, lumo, geom)
                 except SingularGeometryError as err:
                     with pytest.raises(SingularGeometryError) as got:
                         spinspin_tensor(homo, lumo, geom)
@@ -169,21 +163,21 @@ class TestSpinSpinTensor:
         # |Delta_xz| = Delta_xx = Delta_zz and the tensor collapses to
         # [[A-B, 0, B], [0, A, 0], [B, 0, -2A+B]]
         delta = 0.04
-        geom = VacancyGeometry.with_polar_angle(45.0, delta=delta)
+        geom = VacancyGeometry(45.0, delta=delta)
         t = spinspin_tensor("a1", "b1", geom).matrix
         a, b = t[1, 1], t[0, 2]
         want = np.array([[a - b, 0, b], [0, a, 0], [b, 0, -2 * a + b]])
         assert np.allclose(t, want, atol=1e-12)
         # with the separation rho = 2<z>_1: B = 12*Delta_xz/rho^5 exactly
         # and A = 4/rho^3 at leading order in Delta
-        rho = 2 * geom.mean_positions[0, 2]
+        rho = 2 * geom.positions[0, 2]
         dxz = geom.covariance(0)[0, 2]
         assert np.isclose(b, 12 * dxz / rho**5, rtol=1e-12)
         assert np.isclose(a, 4 / rho**3 - 4 * delta / rho**5, rtol=1e-12)
         assert abs(a - 4 / rho**3) < 1.1 * 4 * delta / rho**5
 
     def test_point_dipole_limit_axial(self):
-        geom = VacancyGeometry.with_polar_angle(45.0, delta=0.0)
+        geom = VacancyGeometry(45.0)
         t = spinspin_tensor("a1", "b1", geom).matrix
         a = t[0, 0]
         assert np.allclose(t, np.diag([a, a, -2 * a]), atol=1e-12)
@@ -196,18 +190,10 @@ class TestSpinSpinTensor:
             assert abs(np.trace(m)) < 1e-12 * np.linalg.norm(m)
             assert np.allclose(m, m.T, atol=1e-14)
 
-    def test_paired_covariance_kills_tilt(self):
-        geom = VacancyGeometry.tetrahedral(delta=0.05)
-        t = spinspin_tensor("a1", "b1", geom, covariance_mode="paired").matrix
-        assert abs(t[0, 2]) < 1e-14
-
     def test_coincident_positions_rejected(self):
-        pos = VacancyGeometry.tetrahedral().positions.copy()
-        pos[1] = pos[0] * [1, 1, -1]
-        pos[1, 2] = pos[0, 2]  # c2 on top of c1 (breaks mirror too)
-        with pytest.raises((SingularGeometryError, InvalidParameterError)):
-            geom = VacancyGeometry(positions=pos)
-            spinspin_tensor("a1", "b1", geom)
+        with pytest.raises(SingularGeometryError,
+                           match="orbitals c1 and c2 have coincident positions"):
+            spinspin_tensor("a1", "b1", VacancyGeometry(90.0))
 
     def test_frequency_conversion_scale(self):
         from defectkit.constants import SPIN_SPIN_PREFACTOR_MHZ_NM3
@@ -396,7 +382,14 @@ class TestVacancyGeometry:
                 assert np.isclose(pos[i] @ pos[j], -1.0 / 3.0, atol=1e-12)
 
     def test_symmetry_validation(self):
-        pos = VacancyGeometry.tetrahedral().positions.copy()
-        pos[0, 1] = 0.3  # c1 out of the xz plane
-        with pytest.raises(InvalidParameterError):
-            VacancyGeometry(positions=pos)
+        # the sites are C2v-symmetric by construction: c1, c2 in the xz plane,
+        # mirrored through xy; c3, c4 mirrored through xz
+        for theta in (0.0, 35.26, 45.0, 60.0, 90.0):
+            pos = VacancyGeometry(theta).positions
+            assert pos[0, 1] == pos[1, 1] == 0.0
+            assert np.array_equal(pos[1], pos[0] * [1, 1, -1])
+            assert np.array_equal(pos[3], pos[2] * [1, -1, 1])
+
+    def test_negative_delta_refused(self):
+        with pytest.raises(InvalidParameterError, match="delta must be non-negative"):
+            VacancyGeometry.tetrahedral(delta=-0.01)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from defectkit import photodynamics
 from defectkit.errors import (
     InconsistentFitError,
     DegenerateSystemError,
@@ -239,13 +240,14 @@ class TestG2:
             r = random_rates(rng)
             assert np.max(np.abs(g2_analytic(r, tau) - g2_numeric(r, tau))) < 1e-6
 
-    def test_collision_fallback_warns(self):
+    def test_collision_fallback_warns(self, monkeypatch):
         # k0 == km is an exact double root; np.roots splits it by ~1e-9
         # relative, so widen the tolerance slightly to exercise the fallback
+        monkeypatch.setattr(photodynamics, "_ROOT_COLLISION_TOL", 1e-8)
         r = RateParams(k_ex=1e6, k_f=1e8, k_isc=0.0, k0=2e6, km=2e6, kp=5e6)
         tau = np.logspace(-9, -5, 10)
         with pytest.warns(RuntimeWarning, match="collide"):
-            vals = g2_analytic(r, tau, collision_tol=1e-8)
+            vals = g2_analytic(r, tau)
         assert np.allclose(vals, g2_numeric(r, tau), atol=1e-9)
 
     def test_rejects_negative_delay(self):
