@@ -399,11 +399,7 @@ def run_psb_deconvolve(config, inputs):
     dos_path = _cfg(config, "dos", None, str)
     if dos_path is not None:
         report = psb.critical_point_report(i1, _ingest(inputs, dos_path, "dos_table"))
-        outputs["critical_points.json"] = {
-            "peaks": [asdict(p) for p in report.peaks],
-            "above_cutoff_fraction": report.above_cutoff_fraction,
-            "local_mode_flag": report.local_mode_flag,
-        }
+        outputs["critical_points.json"] = {"peaks": [asdict(p) for p in report.peaks]}
         outputs["overlay.txt"] = (report.overlay.T, ["energy_meV", "one_phonon", "dos"])
     return outputs
 

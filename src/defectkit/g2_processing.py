@@ -177,17 +177,17 @@ def fit_g2(tau_ns, values, n_exp=4, counts=None, init_taus=None,
             raise InvalidParameterError("init_taus must supply n_exp time constants")
         starts = [init_taus]
 
-    def amplitudes_for(taus):
-        phi = _model_matrix(tau_ns, taus) * sqw[:, None]
-        target = (1.0 - values) * sqw
-        alpha, *_ = np.linalg.lstsq(phi, target, rcond=None)
-        return alpha
+    target = (1.0 - values) * sqw
+
+    def solve(taus):
+        """The unweighted model matrix at taus and the amplitudes that fit it."""
+        phi = _model_matrix(tau_ns, taus)
+        alpha, *_ = np.linalg.lstsq(phi * sqw[:, None], target, rcond=None)
+        return phi, alpha
 
     def projected_residual(log_taus):
-        taus = np.exp(log_taus)
-        alpha = amplitudes_for(taus)
-        model = 1.0 - _model_matrix(tau_ns, taus) @ alpha
-        return (model - values) * sqw
+        phi, alpha = solve(np.exp(log_taus))
+        return (1.0 - phi @ alpha - values) * sqw
 
     from scipy.optimize import least_squares
 
@@ -207,10 +207,9 @@ def fit_g2(tau_ns, values, n_exp=4, counts=None, init_taus=None,
             diagnostics={"cost": float(sol.cost)},
         )
     taus = np.exp(sol.x)
-    alphas = amplitudes_for(taus)
+    phi, alphas = solve(taus)
 
     # uncertainties from the full (alpha, tau) Jacobian at the optimum
-    phi = _model_matrix(tau_ns, taus)
     j_alpha = -phi
     j_tau = -(alphas[None, :] * phi * (tau_ns[:, None] / taus[None, :] ** 2))
     jac = np.hstack([j_alpha, j_tau]) * sqw[:, None]

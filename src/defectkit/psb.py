@@ -561,8 +561,8 @@ class PeakMatch:
     energy_mev: float
     height: float
     prominence: float
-    nearest_dos_peak_mev: float
-    distance_mev: float
+    nearest_dos_peak_mev: float | None  # None when the DOS has no peak
+    distance_mev: float | None
 
 
 @dataclass
@@ -570,51 +570,36 @@ class CriticalPointReport:
     """One-phonon band features paired against lattice DOS critical points."""
 
     peaks: list
-    above_cutoff_fraction: float
-    local_mode_flag: bool
     overlay: np.ndarray  # columns: energy, band (unit max), dos (unit max)
 
 
-def critical_point_report(i1, dos: SpectralBand) -> CriticalPointReport:
+def critical_point_report(i1: OnePhononBand, dos: SpectralBand) -> CriticalPointReport:
     """Locate one-phonon features and compare them with the phonon DOS.
 
-    i1 may be a OnePhononBand or a raw SpectralBand estimate that still
-    carries weight above the cutoff (the OnePhononBand's cutoff, and
-    DIAMOND_PHONON_CUTOFF_MEV for a SpectralBand). Peaks are local maxima
-    with prominence above 5% of the band maximum, each paired with the
-    nearest DOS maximum.
-    Band weight above the cutoff beyond 1% raises the local-mode flag
-    (coupling to a quasi-local vibration rather than the lattice continuum).
+    Peaks are local maxima with prominence above 5% of the band maximum,
+    each paired with the nearest DOS maximum, or with None when the DOS has
+    no maximum (a ramp, say).
     """
-    cutoff_mev = getattr(i1, "cutoff_mev", DIAMOND_PHONON_CUTOFF_MEV)
-    band = _as_band(i1)
+    band = i1.band
     vals = band.values
     idx, prominences = _find_peaks(vals, 0.05 * vals.max())
     dos_idx, _ = _find_peaks(dos.values, 0.01 * dos.values.max())
-    dos_peaks = dos.grid[dos_idx] if dos_idx.size else np.array([])
+    dos_peaks = dos.grid[dos_idx]
     peaks = []
     for j, i in enumerate(idx):
         energy = float(band.grid[i])
+        nearest = distance = None
         if dos_peaks.size:
             nearest = float(dos_peaks[np.argmin(np.abs(dos_peaks - energy))])
-        else:
-            nearest = float("nan")
+            distance = abs(energy - nearest)
         peaks.append(PeakMatch(
             energy_mev=energy, height=float(vals[i]),
             prominence=float(prominences[j]),
-            nearest_dos_peak_mev=nearest, distance_mev=abs(energy - nearest)))
-    above = band.grid > cutoff_mev
-    total = band.integral()
-    frac = float(vals[above].sum() * band.spacing) / total if np.any(above) else 0.0
+            nearest_dos_peak_mev=nearest, distance_mev=distance))
     dos_on_grid = np.interp(band.grid, dos.grid, dos.values, left=0.0, right=0.0)
     overlay = np.column_stack([
         band.grid,
         vals / vals.max(),
         dos_on_grid / dos_on_grid.max() if dos_on_grid.max() > 0 else dos_on_grid,
     ])
-    return CriticalPointReport(
-        peaks=peaks,
-        above_cutoff_fraction=frac,
-        local_mode_flag=frac > 0.01,
-        overlay=overlay,
-    )
+    return CriticalPointReport(peaks=peaks, overlay=overlay)

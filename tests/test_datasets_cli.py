@@ -925,11 +925,11 @@ class TestCliImport:
     def test_critical_point_report_leaves_scipy_out(self):
         # the psb pipelines find their peaks with psb._find_peaks, not scipy.signal
         code = ("import numpy as np\n"
-                "from defectkit.psb import SpectralBand, critical_point_report\n"
+                "from defectkit.psb import OnePhononBand, SpectralBand, critical_point_report\n"
                 "grid = 0.5 * np.arange(200)\n"
-                "band = SpectralBand(grid, np.exp(-0.5 * ((grid - 60) / 9) ** 2)\n"
-                "                    + 0.5 * np.exp(-0.5 * ((grid - 90) / 5) ** 2))\n"
-                "report = critical_point_report(band, band)\n"
+                "raw = SpectralBand(grid, np.exp(-0.5 * ((grid - 60) / 9) ** 2)\n"
+                "                   + 0.5 * np.exp(-0.5 * ((grid - 90) / 5) ** 2))\n"
+                "report = critical_point_report(OnePhononBand(raw.normalized()), raw)\n"
                 "assert len(report.peaks) == 2")
         assert self.loaded_modules(code)[1] == []
 
@@ -1045,3 +1045,31 @@ class TestCliPsb:
         i1 = read_table(out2 / "one_phonon_band.txt", 2)
         peak = i1[np.argmax(i1[:, 1]), 0]
         assert abs(peak - 65.0) < 2.0
+
+    def test_ramp_dos_writes_null_match(self, tmp_path):
+        # a valid DOS with no interior maximum leaves each band peak unmatched
+        synth_cfg = tmp_path / "synth.json"
+        synth_cfg.write_text(json.dumps({
+            "S": 2.0,
+            "i1": {"gaussians": [{"center_mev": 60.0, "sigma_mev": 8.0},
+                                  {"center_mev": 120.0, "sigma_mev": 10.0,
+                                   "weight": 0.5}]},
+        }))
+        assert main(["psb-synth", "--config", str(synth_cfg),
+                     "--out", str(tmp_path / "synth")]) == 0
+        ramp = tmp_path / "ramp.txt"
+        ramp.write_text("0 0\n200 1\n")
+        dec_cfg = tmp_path / "dec.json"
+        dec_cfg.write_text(json.dumps({
+            "band": str(tmp_path / "synth" / "band.txt"), "S": 2.0, "dos": str(ramp)}))
+        out = tmp_path / "dec"
+        assert main(["psb-deconvolve", "--config", str(dec_cfg), "--out", str(out)]) == 0
+        for name in ("one_phonon_band.txt", "convergence.json",
+                     "critical_points.json", "overlay.txt"):
+            assert (out / name).is_file(), name
+        report = json.loads((out / "critical_points.json").read_text(),
+                            parse_constant=lambda c: pytest.fail(f"non-JSON {c}"))
+        assert [round(p["energy_mev"]) for p in report["peaks"]] == [60, 120]
+        for p in report["peaks"]:
+            assert p["nearest_dos_peak_mev"] is None
+            assert p["distance_mev"] is None

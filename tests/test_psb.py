@@ -394,7 +394,7 @@ class TestSmoothAndTaper:
         err = l2_error(out.values, i1.values, i1.band.spacing)
         assert err < 0.05
 
-    def test_mass_above_cutoff_removed(self):
+    def test_mass_beyond_cutoff_removed(self):
         d = 0.5
         grid = make_grid(0.0, 1.5 * OMEGA, d)
         vals = np.exp(-0.5 * ((grid - 1.2 * OMEGA) / 10.0) ** 2)
@@ -474,7 +474,6 @@ class TestCriticalPointReport:
         assert len(report.peaks) == 1
         assert abs(report.peaks[0].energy_mev - 60.0) <= 1.0
         assert report.peaks[0].nearest_dos_peak_mev == pytest.approx(62.0, abs=d)
-        assert not report.local_mode_flag
 
     def test_band_equal_to_dos_matches_critical_points(self):
         d = 0.25
@@ -488,17 +487,14 @@ class TestCriticalPointReport:
         for p in report.peaks:
             assert p.distance_mev == 0.0
 
-    def test_local_mode_flag(self):
-        d = 0.5
-        grid = make_grid(0.0, 1.3 * OMEGA, d)
-        vals = np.exp(-0.5 * ((grid - 60.0) / 10.0) ** 2)
-        spike = np.exp(-0.5 * ((grid - 1.1 * OMEGA) / 2.0) ** 2)
-        vals = vals / (vals.sum() * d) * 0.95 + spike / (spike.sum() * d) * 0.05
-        band = SpectralBand(grid, vals)
-        dos = SpectralBand(grid, np.exp(-0.5 * ((grid - 60.0) / 10.0) ** 2))
-        report = critical_point_report(band, dos)  # a SpectralBand: cutoff OMEGA
-        assert report.local_mode_flag
-        assert report.above_cutoff_fraction > 0.01
+    def test_monotone_dos_pairs_no_peak(self):
+        grid = make_grid(0.0, OMEGA, 0.5)
+        i1 = OnePhononBand(SpectralBand(
+            grid, np.exp(-0.5 * ((grid - 60.0) / 10.0) ** 2)).normalized())
+        report = critical_point_report(i1, SpectralBand(grid, grid / OMEGA))
+        assert len(report.peaks) == 1
+        assert report.peaks[0].nearest_dos_peak_mev is None
+        assert report.peaks[0].distance_mev is None
 
 
 class TestZeroWidthRefused:
